@@ -160,12 +160,28 @@ impl LayoutMap {
     /// Panics on rank mismatch or out-of-bounds coordinates.
     pub fn element_offset(&self, program: &Program, array: ArrayId, coords: &[i64]) -> u64 {
         let decl = &program.arrays[array];
-        let lin = decl.linearize(coords);
+        self.linear_offset(array, decl.linearize(coords), u64::from(decl.elem_bytes))
+    }
+
+    /// Volume byte offset of `array`'s element with row-major linearized
+    /// index `lin` (as [`ArrayDecl::linearize`](dpm_ir::ArrayDecl::linearize)
+    /// computes it), for elements of `elem_bytes` bytes. A single-segment
+    /// array maps with no search; relaxed multi-segment mappings
+    /// binary-search their segments.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `array` is out of range or, under a multi-segment
+    /// mapping, `lin` lies past the last segment.
+    #[inline]
+    pub fn linear_offset(&self, array: ArrayId, lin: u64, elem_bytes: u64) -> u64 {
         let segs = &self.segments[array];
-        let ix = segs.partition_point(|s| s.lin_hi < lin);
-        let seg = &segs[ix];
+        let seg = match segs.as_slice() {
+            [only] => only,
+            _ => &segs[segs.partition_point(|s| s.lin_hi < lin)],
+        };
         debug_assert!(seg.lin_lo <= lin && lin <= seg.lin_hi);
-        seg.base + (lin - seg.lin_lo) * u64::from(decl.elem_bytes)
+        seg.base + (lin - seg.lin_lo) * elem_bytes
     }
 
     /// Full disk location of an element's first byte.

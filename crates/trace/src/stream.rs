@@ -24,7 +24,7 @@
 //! stable-sorts by `arrival_ms` (`total_cmp`). That is precisely the
 //! sequence sorted by the key `(arrival, proc, seq)` where `seq` numbers a
 //! processor's emissions across the whole run. `GenStream` buffers each
-//! processor's emissions in a min-heap on `(arrival, seq)` and releases a
+//! processor's emissions sorted on `(arrival, seq)` and releases a
 //! processor's head only when no *future* emission anywhere can precede it
 //! under that key. A processor's future arrivals are bounded below by its
 //! watermark `W = min(min pending first_ms, clock)`: a pending request
@@ -38,9 +38,7 @@
 use crate::{contention_factor, ExecutionOrder, ProcState, TraceGenerator, TraceStats};
 use dpm_disksim::{IoRequest, RequestStream};
 use dpm_ir::{LoopNest, NestId, Program};
-use dpm_obs::XorShift64Star;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 /// A lazy walk over `(nest, iteration)` pairs: the pull-based counterpart
 /// of [`ExecutionOrder::for_each_in_phase`].
@@ -221,29 +219,12 @@ impl StreamOrder for crate::SetOrder {
     }
 }
 
-/// One request buffered in a processor's release heap, ordered by
+/// One request in a processor's release buffer, ordered by
 /// `(arrival bits, emission seq)`. Arrivals are finite and non-negative,
 /// so their IEEE-754 bit patterns order exactly like `total_cmp`.
 struct Buffered {
     key: (u64, u64),
     req: IoRequest,
-}
-
-impl PartialEq for Buffered {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
-    }
-}
-impl Eq for Buffered {}
-impl PartialOrd for Buffered {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Buffered {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key.cmp(&other.key)
-    }
 }
 
 /// One processor's lane of the lockstep merge.
@@ -252,38 +233,46 @@ struct Lane<'g> {
     /// `Some` while the lane still has iterations (or a pending flush) in
     /// the current phase; `None` once the phase's emissions are complete.
     cursor: Option<Box<dyn IterCursor + 'g>>,
-    flushed: bool,
     /// This phase's stat deltas, merged at the barrier in processor order
     /// (the batch path's association, so stats match bit for bit).
     delta: TraceStats,
-    heap: BinaryHeap<Reverse<Buffered>>,
+    /// Emitted requests not yet released, sorted by key. Without jitter a
+    /// lane emits in key order, so pushes land at the back.
+    buffer: VecDeque<Buffered>,
     seq: u64,
+    /// Lower bound (as arrival bits) on this lane's future emissions:
+    /// `W = min(clock, min pending first_ms)`, or +∞ once the run is
+    /// finished. Only driving the lane and barriers change its state, so
+    /// both refresh it.
+    watermark: u64,
 }
 
 impl Lane<'_> {
-    /// Lower bound (as arrival bits) on this lane's future emissions.
-    fn watermark_bits(&self, run_finished: bool) -> u64 {
-        if run_finished {
-            return f64::INFINITY.to_bits();
-        }
+    fn refresh_watermark(&mut self) {
         let mut w = self.st.clock_ms;
         for p in &self.st.pending {
             w = w.min(p.first_ms);
         }
-        w.to_bits()
+        self.watermark = w.to_bits();
     }
 
     fn head_bits(&self) -> Option<u64> {
-        self.heap.peek().map(|Reverse(b)| b.key.0)
+        self.buffer.front().map(|b| b.key.0)
     }
 
     fn drain_emitted(&mut self) {
         for req in self.st.requests.drain(..) {
-            self.heap.push(Reverse(Buffered {
+            let b = Buffered {
                 key: (req.arrival_ms.to_bits(), self.seq),
                 req,
-            }));
+            };
             self.seq += 1;
+            if self.buffer.back().is_none_or(|last| last.key < b.key) {
+                self.buffer.push_back(b);
+            } else {
+                let at = self.buffer.partition_point(|x| x.key < b.key);
+                self.buffer.insert(at, b);
+            }
         }
     }
 }
@@ -324,21 +313,12 @@ impl<'p> TraceGenerator<'p> {
         sp.add("phases", order.num_phases() as u64);
         let lanes = (0..nprocs)
             .map(|proc| Lane {
-                st: ProcState {
-                    clock_ms: 0.0,
-                    rng: XorShift64Star::new(0x5eed_0000 + u64::from(proc)),
-                    pending: Vec::new(),
-                    recent: crate::ReuseWindow::with_capacity(self.options.reuse_window_blocks),
-                    disk_streams: vec![VecDeque::new(); self.layout.striping().num_disks()],
-                    split_buf: Vec::new(),
-                    coords_buf: Vec::new(),
-                    requests: Vec::new(),
-                },
+                st: self.proc_state(proc),
                 cursor: None,
-                flushed: false,
                 delta: TraceStats::default(),
-                heap: BinaryHeap::new(),
+                buffer: VecDeque::new(),
                 seq: 0,
+                watermark: 0.0_f64.to_bits(),
             })
             .collect();
         let mut s = GenStream {
@@ -349,10 +329,12 @@ impl<'p> TraceGenerator<'p> {
             contention: Vec::new(),
             stats: TraceStats::default(),
             point: Vec::new(),
-            run_finished: order.num_phases() == 0,
+            run_finished: false,
             span: Some(sp),
         };
-        if !s.run_finished {
+        if order.num_phases() == 0 {
+            s.finish_run();
+        } else {
             s.start_phase();
         }
         s
@@ -368,43 +350,64 @@ impl GenStream<'_> {
 
     /// Whether every request has been yielded.
     pub fn is_finished(&self) -> bool {
-        self.run_finished && self.lanes.iter().all(|l| l.heap.is_empty())
+        self.run_finished && self.lanes.iter().all(|l| l.buffer.is_empty())
     }
 
-    fn start_phase(&mut self) {
-        let masks = self.generator.phase_disk_masks(self.order, self.phase);
-        self.contention = (0..self.lanes.len())
-            .map(|p| contention_factor(&masks, p))
-            .collect();
-        for (proc, lane) in self.lanes.iter_mut().enumerate() {
-            lane.cursor = Some(self.order.cursor(self.phase, proc as u32));
-            lane.flushed = false;
+    fn finish_run(&mut self) {
+        self.run_finished = true;
+        for lane in &mut self.lanes {
+            lane.watermark = f64::INFINITY.to_bits();
         }
     }
 
-    /// Advances lane `i` by one iteration (or its end-of-phase flush) and
-    /// buffers whatever it emitted.
+    fn start_phase(&mut self) {
+        let footprints = self.generator.phase_footprints(self.order, self.phase);
+        self.contention = (0..self.lanes.len())
+            .map(|p| contention_factor(&footprints, p))
+            .collect();
+        for (proc, lane) in self.lanes.iter_mut().enumerate() {
+            lane.cursor = Some(self.order.cursor(self.phase, proc as u32));
+        }
+    }
+
+    /// Runs lane `i` until it emits a request or finishes its phase (and
+    /// its end-of-phase flush), then buffers what it emitted.
+    ///
+    /// Running a lane through iterations that emit nothing cannot change
+    /// the merge: its buffer stays as it was, and its watermark only rises
+    /// (the clock only advances, and new streams open at the clock), so no
+    /// other lane's release waits on it for longer than it would have. The
+    /// release rule alone fixes the output order.
     fn drive(&mut self, i: usize) {
         let lane = &mut self.lanes[i];
         let contention = self.contention[i];
-        if let Some(cursor) = lane.cursor.as_mut() {
-            if let Some(nest) = cursor.next(&mut self.point) {
-                self.generator.execute_iteration(
+        let Some(cursor) = lane.cursor.as_mut() else {
+            return;
+        };
+        let mut phase_done = false;
+        while lane.st.requests.is_empty() {
+            match cursor.next(&mut self.point) {
+                Some(nest) => self.generator.execute_iteration(
                     nest,
                     &self.point,
                     i as u32,
                     contention,
                     &mut lane.st,
                     &mut lane.delta,
-                );
-            } else {
-                self.generator
-                    .flush_all(i as u32, contention, &mut lane.st, &mut lane.delta);
-                lane.cursor = None;
-                lane.flushed = true;
+                ),
+                None => {
+                    self.generator
+                        .flush_all(i as u32, contention, &mut lane.st, &mut lane.delta);
+                    phase_done = true;
+                    break;
+                }
             }
-            lane.drain_emitted();
         }
+        if phase_done {
+            lane.cursor = None;
+        }
+        lane.drain_emitted();
+        lane.refresh_watermark();
     }
 
     /// All lanes done with the current phase: merge stats in processor
@@ -422,12 +425,13 @@ impl GenStream<'_> {
             .fold(0.0_f64, f64::max);
         for lane in &mut self.lanes {
             lane.st.clock_ms = max_clock;
+            lane.refresh_watermark();
         }
         self.phase += 1;
         if self.phase < self.order.num_phases() {
             self.start_phase();
         } else {
-            self.run_finished = true;
+            self.finish_run();
             if let Some(mut sp) = self.span.take() {
                 sp.add("requests", self.stats.requests);
                 sp.add("cache_hits", self.stats.cache_hits);
@@ -445,9 +449,7 @@ impl RequestStream for GenStream<'_> {
             let mut best: Option<(u64, usize)> = None;
             for (i, lane) in self.lanes.iter().enumerate() {
                 if let Some(hb) = lane.head_bits() {
-                    if hb <= lane.watermark_bits(self.run_finished)
-                        && best.is_none_or(|b| (hb, i) < b)
-                    {
+                    if hb <= lane.watermark && best.is_none_or(|b| (hb, i) < b) {
                         best = Some((hb, i));
                     }
                 }
@@ -460,20 +462,18 @@ impl RequestStream for GenStream<'_> {
                     if q == i {
                         return true;
                     }
-                    let lb = lane
-                        .watermark_bits(self.run_finished)
-                        .min(lane.head_bits().unwrap_or(u64::MAX));
+                    let lb = lane.watermark.min(lane.head_bits().unwrap_or(u64::MAX));
                     (hb, i) < (lb, q)
                 });
                 if safe {
-                    let Reverse(b) = self.lanes[i].heap.pop().expect("head just peeked");
+                    let b = self.lanes[i].buffer.pop_front().expect("head just peeked");
                     return Some(b.req);
                 }
             }
             if self.run_finished {
                 // Nothing buffered anywhere (all heads are releasable once
-                // watermarks are infinite, so best=None means empty heaps).
-                debug_assert!(self.lanes.iter().all(|l| l.heap.is_empty()));
+                // watermarks are infinite, so best=None means empty buffers).
+                debug_assert!(self.lanes.iter().all(|l| l.buffer.is_empty()));
                 return None;
             }
             // Make progress on the lane holding the merge back: the
@@ -483,13 +483,7 @@ impl RequestStream for GenStream<'_> {
                 .iter()
                 .enumerate()
                 .filter(|(_, l)| l.cursor.is_some())
-                .min_by_key(|(q, l)| {
-                    (
-                        l.watermark_bits(false)
-                            .min(l.head_bits().unwrap_or(u64::MAX)),
-                        *q,
-                    )
-                })
+                .min_by_key(|(q, l)| (l.watermark.min(l.head_bits().unwrap_or(u64::MAX)), *q))
                 .map(|(q, _)| q);
             match next {
                 Some(q) => self.drive(q),

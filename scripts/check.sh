@@ -111,4 +111,10 @@ run ./target/release/oracle_bench tiny BENCH_oracle.json
 # by tests/golden/bench_record.json via the workspace test run above.)
 run ./target/release/bench-report BENCH_parallel.json BENCH_poly.json BENCH_chaos.json BENCH_stream.json BENCH_tier.json BENCH_oracle.json
 
+# End-to-end benchmark's own tests (a separate package, so the workspace
+# run above does not reach them): Tiny composition equals the harness's
+# entry points, and planted defects (a flipped digest, energy 5% off) must
+# fail its correctness check.
+run cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
 echo "All checks passed."
