@@ -54,7 +54,7 @@ pub use disk::{DiskSim, SubRequest};
 pub use dpm_faults::{FaultInjector, FaultPlan, RetryPolicy};
 pub use params::{
     DirectiveConfig, DiskClass, DiskParams, DrpmConfig, MigrationConfig, PowerPolicy, RaidConfig,
-    Tier, TierConfig, TpmConfig,
+    ServiceTime, Tier, TierConfig, TpmConfig,
 };
 pub use request::{IoRequest, RequestKind, Trace, TraceParseError, TRACE_BLOCK_BYTES};
 pub use sim::Simulator;

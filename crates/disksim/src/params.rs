@@ -62,22 +62,25 @@ impl DiskParams {
         rev_ms / 2.0
     }
 
-    /// Transfer time for `bytes` at `rpm` (media rate scales linearly with
-    /// rotation speed).
-    pub fn transfer_ms(&self, bytes: u64, rpm: u32) -> f64 {
+    /// The service-time model at `rpm`, with its per-request constants
+    /// computed once (media rate scales linearly with rotation speed).
+    pub fn service_at(&self, rpm: u32) -> ServiceTime {
         let rate = self.transfer_mb_s * f64::from(rpm) / f64::from(self.max_rpm);
-        (bytes as f64) / (rate * 1024.0 * 1024.0) * 1000.0
+        ServiceTime {
+            positioning_ms: self.avg_seek_ms + self.rotational_latency_ms(rpm),
+            media_bytes_per_s: rate * 1024.0 * 1024.0,
+        }
+    }
+
+    /// Transfer time for `bytes` at `rpm`.
+    pub fn transfer_ms(&self, bytes: u64, rpm: u32) -> f64 {
+        self.service_at(rpm).transfer_ms(bytes)
     }
 
     /// Service time of one contiguous sub-request at `rpm`; `sequential`
     /// requests skip the positioning (seek + rotational latency) cost.
     pub fn service_ms(&self, bytes: u64, rpm: u32, sequential: bool) -> f64 {
-        let positioning = if sequential {
-            0.0
-        } else {
-            self.avg_seek_ms + self.rotational_latency_ms(rpm)
-        };
-        positioning + self.transfer_ms(bytes, rpm)
+        self.service_at(rpm).ms(bytes, sequential)
     }
 
     /// TPM break-even time in milliseconds: the idle duration at which
@@ -111,6 +114,32 @@ impl DiskParams {
 impl Default for DiskParams {
     fn default() -> Self {
         DiskParams::ultrastar_36z15()
+    }
+}
+
+/// [`DiskParams`]' service-time model at one fixed RPM
+/// ([`DiskParams::service_at`]).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct ServiceTime {
+    /// Seek plus average rotational latency, in milliseconds.
+    pub positioning_ms: f64,
+    /// Media transfer rate, in bytes per second.
+    pub media_bytes_per_s: f64,
+}
+
+impl ServiceTime {
+    /// Transfer time for `bytes`, in milliseconds.
+    #[inline]
+    pub fn transfer_ms(&self, bytes: u64) -> f64 {
+        (bytes as f64) / self.media_bytes_per_s * 1000.0
+    }
+
+    /// Service time of one contiguous sub-request; `sequential` requests
+    /// skip the positioning cost.
+    #[inline]
+    pub fn ms(&self, bytes: u64, sequential: bool) -> f64 {
+        let positioning = if sequential { 0.0 } else { self.positioning_ms };
+        positioning + self.transfer_ms(bytes)
     }
 }
 
