@@ -102,8 +102,8 @@ fn main() {
     let single = RaidConfig::single();
     let tpm = PowerPolicy::Tpm(TpmConfig::proactive());
 
-    // Sweep points are independent cells, so each sweep fans out on the
-    // persistent `DPM_THREADS` pool and prints its rows in the original
+    // Sweep points are independent cells, so each sweep fans out over
+    // `DPM_THREADS` threads and prints its rows in the original
     // parameter order.
 
     // 1. Stripe-unit sweep (per-point layout → per-point streamed matrix).

@@ -4,7 +4,7 @@
 //! Three passes over the figure-9(a) experiment matrix:
 //!
 //! 1. **Serial** — pinned to the serial path; the canonical result set.
-//! 2. **Parallel** — on the `DPM_THREADS` pool; must be byte-identical to
+//! 2. **Parallel** — at `DPM_THREADS` width; must be byte-identical to
 //!    the serial pass (floats compared by bit pattern).
 //! 3. **Profiled** — parallel again with `dpm-prof` enabled; must *still*
 //!    be byte-identical (profiling cannot perturb simulation output), must
@@ -12,12 +12,19 @@
 //!    the call tree to `results/PROF_<scale>.json` plus
 //!    flamegraph-collapsed stacks to `results/PROF_<scale>.txt`.
 //!
-//! Plus a **skew microbench**: synthetic cells whose heavy items are
-//! clustered into one participant's initial range — the shape a static
-//! even split serializes on and work stealing does not. Its serial and
-//! parallel outputs must match bit-for-bit, and its speedup feeds the
-//! gate below. Steal counts and idle fractions from [`dpm_exec::stats`]
-//! are recorded as metrics on every run, gated or not.
+//! Plus three microbenches of the execution layer itself:
+//!
+//! * **Skew** — synthetic cells whose heavy items are clustered into
+//!   participant 0's block — the shape a static even split serializes on
+//!   and claiming from the other blocks does not. Its serial and parallel
+//!   outputs must match bit-for-bit, and its speedup feeds the gate below.
+//! * **Map dispatch** (`map_dispatch_ns`) — the median cost of a 2-item
+//!   map at width 2: what one parallel map pays to spawn and join its
+//!   scoped helper.
+//! * **Sharded stream** (`stream_sharded_ms` vs `stream_serial_ms`) — one
+//!   Small-scale `Simulator::run_stream` pass sharded per disk at 2
+//!   threads against the serial pass; the two reports must match
+//!   bit-for-bit.
 //!
 //! The speedup gate is honest about the host: when fewer than 4 cores are
 //! available the check is recorded as *skipped* with the measured values
@@ -25,26 +32,21 @@
 //! correctness); with ≥4 cores the parallel matrix pass must beat serial
 //! (>1x) *and* the skew microbench must reach ≥1.5x, or the run fails.
 //!
-//! Setting `DPM_PARALLEL_SMOKE=1` switches to the oversubscription smoke
-//! mode used by `scripts/check.sh`: `DPM_THREADS` defaults to 4× the
-//! host's cores, every bit-identity gate still applies (the pool must not
-//! deadlock or diverge when threads far exceed cores), and the speedup
-//! gate is recorded as skipped — wall-clock under oversubscription
-//! measures scheduling pressure, not parallelism.
-//!
 //! Output is one unified [`BenchRecord`] document. Usage:
 //! `parallel_bench [scale] [out-path]` (scale: tiny | small | large |
 //! paper; default tiny, output default `BENCH_parallel.json`). Thread
-//! count comes from `DPM_THREADS` (default 4; smoke mode 4× host cores).
+//! count comes from `DPM_THREADS` (default 4).
 
 use dpm_apps::Scale;
 use dpm_bench::microbench::bench;
 use dpm_bench::{
     run_matrix, AppResults, BenchRecord, ExperimentConfig, GateStatus, MatrixCell, Version,
 };
-use dpm_layout::Striping;
+use dpm_disksim::{PowerPolicy, SimReport, Simulator, TpmConfig};
+use dpm_layout::{LayoutMap, Striping};
 use dpm_obs::Json;
 use dpm_poly::{Constraint, LinExpr, Polyhedron, Set};
+use dpm_trace::{OriginalOrder, TraceGenerator};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -57,7 +59,7 @@ const MIN_PROF_COVERAGE: f64 = 0.95;
 
 /// Minimum skew-microbench speedup on hosts where the gate is enforced:
 /// a static even split caps this workload near 1.2x, so clearing 1.5x
-/// demonstrates chunks actually migrated between workers.
+/// demonstrates the heavy items were actually claimed across blocks.
 const MIN_SKEW_SPEEDUP: f64 = 1.5;
 
 fn cells(scale: Scale) -> Vec<MatrixCell> {
@@ -149,42 +151,90 @@ fn spin(units: u64) -> u64 {
 }
 
 /// Imbalanced synthetic cells: all the heavy items sit at the *front* of
-/// the index space, i.e. inside participant 0's initial range. A static
-/// even split leaves ~85% of the work on one worker (speedup ≤ ~1.2x at
-/// 4 threads); stealing redistributes the heavy tail and approaches the
-/// work-ratio bound (~3.9x).
+/// the index space, i.e. inside participant 0's block. A static even
+/// split leaves ~85% of the work on one worker (speedup ≤ ~1.2x at 4
+/// threads); participants that drain their own blocks claim the heavy
+/// items one at a time and approach the work-ratio bound (~3.9x).
 fn skew_weights() -> Vec<u64> {
     (0..64u64).map(|i| if i < 8 { 32 } else { 1 }).collect()
 }
 
-struct SkewResult {
+/// Serial and parallel wall times of one workload, and whether the two
+/// outputs matched bit-for-bit.
+struct AbResult {
     serial_ms: f64,
     parallel_ms: f64,
-    steals: u64,
     identical: bool,
 }
 
 /// Runs the skew cells serially and in parallel, checking bit-identity
-/// of the outputs and metering steals via [`dpm_exec::stats`].
-fn skew_microbench() -> SkewResult {
+/// of the outputs.
+fn skew_microbench() -> AbResult {
     let weights = skew_weights();
     let run =
         |w: &[u64]| dpm_exec::par_map_indexed(w, |i, &units| spin(units).wrapping_add(i as u64));
-    // Warm the pool so worker spawns don't land inside the timed pass.
-    let _ = run(&weights);
     let t = Instant::now();
     let serial_out = dpm_exec::serial_scope(|| run(&weights));
     let serial_ms = t.elapsed().as_secs_f64() * 1e3;
-    let before = dpm_exec::stats();
     let t = Instant::now();
     let parallel_out = run(&weights);
     let parallel_ms = t.elapsed().as_secs_f64() * 1e3;
-    let steals = dpm_exec::stats().since(&before).steals;
-    SkewResult {
+    AbResult {
         serial_ms,
         parallel_ms,
-        steals,
         identical: serial_out == parallel_out,
+    }
+}
+
+/// Median cost of a 2-item map at width 2, in ns: one scoped helper
+/// spawned and joined per map.
+fn map_dispatch_microbench() -> f64 {
+    let items = [1u64, 2];
+    bench("exec/map_2_items_width_2", || {
+        dpm_exec::Pool::new(2).map_indexed(&items, |_, &x| x + 1)
+    })
+    .ns_per_iter
+}
+
+/// One Small-scale `run_stream` pass (AST in program order, TPM) sharded
+/// at 2 threads against the serial pass. Each side runs five times,
+/// alternating; the medians are reported with the reports' bit-identity.
+fn stream_shard_microbench() -> AbResult {
+    let config = ExperimentConfig::default();
+    let app = dpm_apps::by_name("AST", Scale::Small).expect("AST is in the suite");
+    let program = app.program();
+    let layout = LayoutMap::new(&program, config.striping);
+    let gen = TraceGenerator::new(&program, &layout, config.trace).with_disk_params(config.disk);
+    let (trace, _) = gen.generate(&OriginalOrder::new(&program));
+    let sim = Simulator::new(
+        config.disk,
+        PowerPolicy::Tpm(TpmConfig::default()),
+        config.striping,
+    );
+    let run = |threads: usize| -> (f64, SimReport) {
+        let sim = sim.clone().with_exec_threads(threads);
+        let t = Instant::now();
+        let report = sim.run(&trace);
+        (t.elapsed().as_secs_f64() * 1e3, report)
+    };
+    let bits = |r: &SimReport| (r.makespan_ms.to_bits(), r.total_energy_j().to_bits());
+    let (mut serial, mut sharded) = (Vec::new(), Vec::new());
+    let mut identical = true;
+    for _ in 0..5 {
+        let (serial_ms, a) = run(1);
+        let (sharded_ms, b) = run(2);
+        identical &= bits(&a) == bits(&b) && a.per_disk == b.per_disk;
+        serial.push(serial_ms);
+        sharded.push(sharded_ms);
+    }
+    let median = |mut v: Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    AbResult {
+        serial_ms: median(serial),
+        parallel_ms: median(sharded),
+        identical,
     }
 }
 
@@ -215,26 +265,20 @@ fn main() {
         .nth(2)
         .unwrap_or_else(|| "BENCH_parallel.json".into());
     let host = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let smoke = std::env::var("DPM_PARALLEL_SMOKE").is_ok_and(|v| v == "1");
     let threads: usize = std::env::var("DPM_THREADS")
         .ok()
         .and_then(|v| v.parse().ok())
         .filter(|&n| n > 0)
-        .unwrap_or(if smoke { host * 4 } else { 4 });
-    // Pin the pool width for the parallel passes (and everything the matrix
-    // spawns beneath them) to the figure we are about to report.
+        .unwrap_or(4);
+    // Pin the map width for the parallel passes (and everything the matrix
+    // runs beneath them) to the figure we are about to report.
     std::env::set_var("DPM_THREADS", threads.to_string());
     let config = ExperimentConfig::default();
     let num_cells = cells(scale).len();
     let scale_label = format!("{scale:?}");
     println!(
         "parallel_bench: figure-9(a) matrix at {scale_label} scale, {num_cells} cells, \
-         {threads} threads (host has {host} core(s)){}",
-        if smoke {
-            " [oversubscription smoke]"
-        } else {
-            ""
-        }
+         {threads} threads (host has {host} core(s))"
     );
 
     let mut record = BenchRecord::new("parallel_bench", &scale_label, threads);
@@ -246,44 +290,41 @@ fn main() {
     let serial_ms = t.elapsed().as_secs_f64() * 1e3;
     println!("  serial   pass: {serial_ms:>9.1} ms");
 
-    let before = dpm_exec::stats();
     let t = Instant::now();
     let parallel = run_matrix(cells(scale), &config);
     let parallel_ms = t.elapsed().as_secs_f64() * 1e3;
-    let exec_delta = dpm_exec::stats().since(&before);
     let speedup = serial_ms / parallel_ms;
-    // Fraction of the parallel pass's aggregate thread-time that was not
-    // spent executing map items: the price of imbalance plus scheduling.
-    let idle_fraction = (1.0
-        - exec_delta.busy_ns as f64 / (parallel_ms * 1e6 * threads.min(num_cells) as f64))
-        .clamp(0.0, 1.0);
-    println!(
-        "  parallel pass: {parallel_ms:>9.1} ms  ({speedup:.2}x, {} steals, \
-         {:.0}% idle)",
-        exec_delta.steals,
-        idle_fraction * 100.0
-    );
+    println!("  parallel pass: {parallel_ms:>9.1} ms  ({speedup:.2}x)");
 
     let skew = skew_microbench();
     let skew_speedup = skew.serial_ms / skew.parallel_ms;
     println!(
-        "  skew bench:    serial {:.1} ms, parallel {:.1} ms  ({skew_speedup:.2}x, \
-         {} steals)",
-        skew.serial_ms, skew.parallel_ms, skew.steals
+        "  skew bench:    serial {:.1} ms, parallel {:.1} ms  ({skew_speedup:.2}x)",
+        skew.serial_ms, skew.parallel_ms
+    );
+    let map_dispatch_ns = map_dispatch_microbench();
+    let stream = stream_shard_microbench();
+    println!(
+        "  Small run_stream: serial {:.1} ms, sharded x2 {:.1} ms  ({:.2}x)",
+        stream.serial_ms,
+        stream.parallel_ms,
+        stream.serial_ms / stream.parallel_ms
     );
 
     let reference = canonical(&serial);
-    if reference == canonical(&parallel) && skew.identical {
+    if reference == canonical(&parallel) && skew.identical && stream.identical {
         println!("  outputs identical: yes");
         record.gate(
             "outputs_identical",
             GateStatus::Pass,
-            "matrix and skew-microbench parallel outputs bit-identical to serial",
+            "matrix, skew-microbench and sharded run_stream outputs bit-identical to serial",
         );
     } else {
         eprintln!("parallel_bench: FAIL — parallel output diverged from serial");
         if !skew.identical {
             eprintln!("(skew microbench outputs diverged)");
+        } else if !stream.identical {
+            eprintln!("(sharded run_stream report diverged)");
         } else {
             eprintln!("--- serial ---\n{reference}");
             eprintln!("--- parallel ---\n{}", canonical(&parallel));
@@ -297,18 +338,9 @@ fn main() {
     }
 
     // Speedup gate: only meaningful when the host can actually run the
-    // pool in parallel, and never under deliberate oversubscription. The
-    // skip details always carry the *measured* values so the record stays
-    // honest about what this host actually did.
-    if smoke {
-        let detail = format!(
-            "oversubscription smoke ({threads} threads on {host} core(s)): \
-             bit-identity gates only; measured {speedup:.2}x matrix, \
-             {skew_speedup:.2}x skew"
-        );
-        println!("  speedup gate skipped: {detail}");
-        record.gate("speedup_gt_1", GateStatus::Skipped, detail);
-    } else if host < MIN_CORES_FOR_SPEEDUP_GATE {
+    // map in parallel. The skip details always carry the *measured*
+    // values so the record stays honest about what this host actually did.
+    if host < MIN_CORES_FOR_SPEEDUP_GATE {
         let detail = format!(
             "host has {host} core(s) < {MIN_CORES_FOR_SPEEDUP_GATE}: measured \
              {speedup:.2}x on the matrix and {skew_speedup:.2}x on the skew \
@@ -415,28 +447,14 @@ fn main() {
     record.metric("skew_serial_ms", skew.serial_ms);
     record.metric("skew_parallel_ms", skew.parallel_ms);
     record.metric("skew_speedup_x", skew_speedup);
-    // Recorded on every run — skipped gates included — so sub-4-core CI
-    // hosts still document stealing/idle behaviour.
-    record.metric("steal_count_x", (exec_delta.steals + skew.steals) as f64);
-    record.metric("idle_fraction", idle_fraction);
+    record.metric("map_dispatch_ns", map_dispatch_ns);
+    record.metric("stream_serial_ms", stream.serial_ms);
+    record.metric("stream_sharded_ms", stream.parallel_ms);
     record.metric("prof_coverage", coverage.min(1.0));
     record.metric("poly_subtract_chain_borrowed_ns", poly_borrowed_ns);
     record.metric("poly_subtract_chain_owned_ns", poly_owned_ns);
     record.metric("split_range_alloc_ns", split_alloc_ns);
     record.metric("split_range_into_ns", split_scratch_ns);
-    let pool = dpm_exec::stats();
-    record.context(
-        "exec_pool",
-        Json::obj(vec![
-            ("workers", Json::U64(pool.workers)),
-            ("maps", Json::U64(pool.maps)),
-            ("leases", Json::U64(pool.leases)),
-            ("chunks", Json::U64(pool.chunks)),
-            ("steals", Json::U64(pool.steals)),
-            ("busy_ms", Json::F64(pool.busy_ns as f64 / 1e6)),
-            ("parked_ms", Json::F64(pool.parked_ns as f64 / 1e6)),
-        ]),
-    );
     record.context(
         "prof_exports",
         Json::obj(vec![

@@ -306,13 +306,13 @@ impl Simulator {
     /// at a time: resident memory is O(disks + window) no matter how long
     /// the stream is.
     ///
-    /// Dispatches to a per-disk sharded pass over persistent shard workers
-    /// (see [`dpm_exec::shard_scope`]) when more than one worker thread is
-    /// in effect (see [`with_exec_threads`](Self::with_exec_threads) and
-    /// `DPM_THREADS`) and the volume has more than one disk — but only
+    /// Dispatches to a per-disk sharded pass over one worker thread per
+    /// disk (see [`dpm_exec::shard_scope`]) when more than one worker
+    /// thread is in effect (see [`with_exec_threads`](Self::with_exec_threads)
+    /// and `DPM_THREADS`) and the volume has more than one disk — but only
     /// after probing the stream for a full window of requests: a run that
-    /// ends inside its first window cannot amortize a worker lease, so it
-    /// takes the serial reference pass no matter the thread count. Both
+    /// ends inside its first window cannot amortize the worker spawns, so
+    /// it takes the serial reference pass no matter the thread count. Both
     /// passes produce bit-identical reports, so the adaptive choice is
     /// invisible in the output.
     ///
@@ -430,8 +430,8 @@ impl Simulator {
         )
     }
 
-    /// The sharded streaming pass: a windowed pipeline over persistent
-    /// per-disk workers.
+    /// The sharded streaming pass: a windowed pipeline over per-disk
+    /// worker threads.
     ///
     /// The feeder pulls up to [`STREAM_WINDOW`] requests, splits each into
     /// per-disk sub-request batches (recording each request's piece disks

@@ -1,77 +1,77 @@
 //! # dpm-exec — zero-dependency parallel execution
 //!
-//! A std-only *persistent work-stealing pool* with an *ordered* parallel
-//! map: results always come back in input order, so every caller stays
-//! bit-for-bit deterministic no matter how many worker threads serviced
-//! the queue or how chunks migrated between them. The workspace's
-//! experiment matrix (app × version cells), the sharded disk simulator,
-//! and the compiler's per-disk candidate-set computation all run through
-//! it.
+//! A std-only *scoped fan-out* with an *ordered* parallel map: results
+//! always come back in input order, so every caller stays bit-for-bit
+//! deterministic no matter how many threads serviced the map or which
+//! thread ran which item. The workspace's experiment matrix (app ×
+//! version cells), the sharded disk simulator, and the compiler's
+//! per-disk candidate-set computation all run through it.
 //!
 //! Design points:
 //!
-//! * **No external dependencies.** One lazily-initialized global worker
-//!   set (threads spawn on first demand and then persist, parked on a
-//!   condvar when idle); the whole workspace stays offline-buildable.
-//! * **Work stealing, not static splits.** A map partitions its index
-//!   space into one range per participant; each participant claims
-//!   geometrically shrinking chunks off its own range and steals the
-//!   tail half of the fullest victim when it runs dry, so a skewed cell
-//!   no longer serializes the whole map on the unluckiest worker. See
-//!   [`stats`] for steal/idle counters.
+//! * **No external dependencies.** Each parallel map is one
+//!   `std::thread::scope`: the calling thread plus `threads − 1` scoped
+//!   helpers, all joined before the map returns. Nothing outlives the
+//!   call, so borrowed inputs need no `'static` bound and the crate needs
+//!   no `unsafe`.
+//! * **Per-block claiming.** Participant `w` owns the contiguous block
+//!   `[w·len/P, (w+1)·len/P)` and claims its indices one at a time
+//!   through that block's atomic cursor; a participant whose block is
+//!   empty claims from the other blocks' cursors in ring order. Each
+//!   participant starts where a static even split would put it, and a
+//!   slow item holds up only the participant running it.
 //! * **`DPM_THREADS` env control.** [`num_threads`] reads `DPM_THREADS`
 //!   (unset or `0` → `std::thread::available_parallelism()`); `1` forces
-//!   the serial path everywhere. Width is per-map: the global set grows
-//!   to the largest width requested and idle workers cost nothing, so
-//!   [`Pool`] values are just width selectors.
+//!   the serial path everywhere. [`Pool`] values are just width
+//!   selectors.
 //! * **Determinism.** [`Pool::map_indexed`] / [`par_map_indexed`] write
 //!   each result into its input's slot, so the output `Vec` is identical
 //!   to a serial `map` — only wall-clock order differs. With one thread
-//!   (or inside another pool's worker) the closure runs in input order on
-//!   the calling thread, making "serial" a strict special case of the
-//!   same code path.
-//! * **Panic propagation.** The first worker panic is captured, the queue
-//!   drains early, and the payload is re-raised on the caller's thread —
-//!   a panicking cell cannot silently truncate an experiment matrix.
-//! * **No nested fan-out.** A `par_map` issued from inside a worker runs
-//!   serially on that worker (depth-1 parallelism), so an experiment
+//!   (or inside another map's participant) the closure runs in input
+//!   order on the calling thread, making "serial" a strict special case
+//!   of the same code path.
+//! * **Panic propagation.** The first item panic is captured, stops
+//!   further claims, and the payload is re-raised on the caller's thread
+//!   after the join — a panicking cell cannot silently truncate an
+//!   experiment matrix.
+//! * **No nested fan-out.** A `par_map` issued from inside a participant
+//!   runs serially on that thread (depth-1 parallelism), so an experiment
 //!   matrix of `p` cells never spawns `p²` threads when the stages it
 //!   calls are themselves parallelized.
 //! * **Observability.** Each parallel map opens a `par_map` span
-//!   (`items`, `workers`, `steals`, `chunks`) and each participant an
-//!   `exec_worker` span (`worker` slot, `claimed` counter, `busy_ns`)
-//!   via `dpm-obs`; verbose mode additionally emits `exec_queue_depth`
-//!   gauge events per chunk claim.
+//!   (`items`, `workers`) and each participant an `exec_worker` span
+//!   (`worker` slot, `claimed` counter) via `dpm-obs`; helpers adopt the
+//!   caller's `dpm-prof` path so their time nests under the issuing
+//!   scope.
 //!
 //! ```
 //! let squares = dpm_exec::par_map_indexed(&[1u64, 2, 3, 4], |_, &x| x * x);
 //! assert_eq!(squares, vec![1, 4, 9, 16]); // input order, always
 //! ```
 
-// The persistent pool needs lifetime-erased task pointers (the same trick
-// `std::thread::scope` uses internally); all `unsafe` is confined to
-// `pool.rs` behind a documented blocking protocol.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod pool;
 mod shard;
 
-pub use pool::{stats, ExecStats};
 pub use shard::{shard_scope, ShardFeeder};
 
+use std::any::Any;
 use std::cell::Cell;
-use std::sync::Mutex;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::thread;
 
 thread_local! {
-    /// Set while the current thread is a pool worker (or inside
-    /// [`serial_scope`]); nested parallel maps then run serially.
+    /// Set while the current thread is a map participant or shard worker
+    /// (or inside [`serial_scope`]); nested maps then run serially.
     static IN_WORKER: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Whether the current thread is already a pool worker. Parallel maps
-/// issued from such a thread run serially (depth-1 parallelism).
+/// Whether the current thread is a map participant or shard worker.
+/// Parallel maps issued from such a thread run serially (depth-1
+/// parallelism).
 pub fn in_worker() -> bool {
     IN_WORKER.with(Cell::get)
 }
@@ -109,11 +109,18 @@ fn available() -> usize {
     thread::available_parallelism().map_or(1, |n| n.get())
 }
 
+/// Serializes [`with_env_threads`] scopes across threads.
+static ENV_THREADS: Mutex<()> = Mutex::new(());
+
 /// Runs `f` with `DPM_THREADS` temporarily overridden to `threads`,
 /// restoring the previous value (or unsetting it) afterwards, panic
-/// included. The environment is process-global, so callers must not
-/// overlap scopes from concurrent threads — the determinism tests and
-/// benches that sweep thread counts each keep this to one binary.
+/// included.
+///
+/// The environment is process-global, so the scope holds a process-wide
+/// lock for its whole duration: scopes opened concurrently from several
+/// threads (e.g. parallel tests) run one after another, each at its own
+/// width. Scopes must not nest — a nested call on the same thread would
+/// wait on the lock its caller holds.
 pub fn with_env_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
     struct Restore(Option<String>);
     impl Drop for Restore {
@@ -124,13 +131,17 @@ pub fn with_env_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
             }
         }
     }
+    // Declared first so it drops last: the variable is restored before
+    // the next scope may take the lock. A panic in another scope's `f`
+    // poisons nothing this guard protects.
+    let _lock = ENV_THREADS.lock().unwrap_or_else(PoisonError::into_inner);
     let _restore = Restore(std::env::var("DPM_THREADS").ok());
     std::env::set_var("DPM_THREADS", threads.to_string());
     f()
 }
 
-/// Caps `requested` to what this call site may actually use: 1 when the
-/// current thread is already a pool worker, `requested` otherwise.
+/// Caps `requested` to what this call site may actually use: 1 on a map
+/// participant or shard worker, `requested` otherwise.
 pub fn effective_threads(requested: usize) -> usize {
     if in_worker() {
         1
@@ -139,11 +150,9 @@ pub fn effective_threads(requested: usize) -> usize {
     }
 }
 
-/// A width selector over the global persistent worker set. Maps dispatch
-/// onto long-lived pool workers (spawned on first demand, parked when
-/// idle) with the calling thread participating as worker 0, so borrowed
-/// inputs need no `'static` bound and a finished map leaves nothing
-/// *running* — just parked threads ready for the next map.
+/// A width selector for parallel maps. A map at width `n` runs on the
+/// calling thread plus `n − 1` scoped helper threads that are joined
+/// before it returns.
 ///
 /// Constructing a `Pool` is free: prefer the free functions
 /// [`par_map_indexed`] / [`par_map_vec`] (environment-sized width) at
@@ -175,7 +184,7 @@ impl Pool {
     /// Ordered parallel map over a slice: returns `f(i, &items[i])` for
     /// every `i`, in input order. Runs serially (in order, on the calling
     /// thread) when the pool has one thread, the input has at most one
-    /// item, or the calling thread is already a pool worker.
+    /// item, or the calling thread is already a map participant.
     ///
     /// # Panics
     ///
@@ -231,10 +240,10 @@ pub fn par_map_vec<T: Send, R: Send>(items: Vec<T>, f: impl Fn(usize, T) -> R + 
     Pool::from_env().map_vec(items, f)
 }
 
-/// The shared engine: `len` jobs executed by up to `threads` participants
-/// of the persistent work-stealing pool (the caller is participant 0),
-/// results written into per-index slots so the output order equals the
-/// input order regardless of which participant ran which chunk.
+/// The ordered map: `len` jobs fanned out over up to `threads`
+/// participants, results written into per-index slots so the output
+/// order equals the input order regardless of which participant ran
+/// which index.
 fn run_indexed<R: Send>(threads: usize, len: usize, job: &(impl Fn(usize) -> R + Sync)) -> Vec<R> {
     if len == 0 {
         return Vec::new();
@@ -250,14 +259,10 @@ fn run_indexed<R: Send>(threads: usize, len: usize, job: &(impl Fn(usize) -> R +
     sp.add("workers", threads as u64);
     let _prof = dpm_prof::scope("par_map");
     let slots: Vec<Mutex<Option<R>>> = (0..len).map(|_| Mutex::new(None)).collect();
-    let task = |i: usize| {
+    fan_out(threads, len, &|i| {
         let r = job(i);
         *slots[i].lock().expect("exec result slot poisoned") = Some(r);
-    };
-    // Blocks until every helper detached; re-raises the first item panic.
-    let report = pool::run_map(threads, len, &task);
-    sp.add("steals", report.steals);
-    sp.add("chunks", report.chunks);
+    });
     slots
         .into_iter()
         .map(|m| {
@@ -268,11 +273,71 @@ fn run_indexed<R: Send>(threads: usize, len: usize, job: &(impl Fn(usize) -> R +
         .collect()
 }
 
+/// Runs `task(i)` for every `i` in `0..len` on the caller (participant
+/// 0) plus `threads − 1` scoped helpers, and returns once all of them
+/// have joined. Block `b` is `[b·len/P, (b+1)·len/P)`; each participant
+/// claims its own block one index at a time, then the others' in ring
+/// order. The first item panic stops further claims and is re-raised
+/// here after the join.
+fn fan_out(threads: usize, len: usize, task: &(dyn Fn(usize) + Sync)) {
+    let ctx = dpm_prof::current_context();
+    let block_end = |b: usize| (b + 1) * len / threads;
+    // `cursors[b]` is block `b`'s next unclaimed index; it may run past
+    // the block end, which means empty. `Relaxed` suffices for it and for
+    // `stop`: a `fetch_add` hands out each index once under any ordering,
+    // and results and the panic payload travel through mutexes and the
+    // scope's join.
+    let cursors: Vec<AtomicUsize> = (0..threads)
+        .map(|b| AtomicUsize::new(b * len / threads))
+        .collect();
+    let stop = AtomicBool::new(false);
+    let payload: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
+
+    let participate = |me: usize| {
+        let _prof = dpm_prof::scope("exec_worker");
+        let mut wsp = dpm_obs::span!("exec_worker");
+        wsp.add("worker", me as u64);
+        for b in (me..threads).chain(0..me) {
+            while !stop.load(Ordering::Relaxed) {
+                let i = cursors[b].fetch_add(1, Ordering::Relaxed);
+                if i >= block_end(b) {
+                    break;
+                }
+                wsp.incr("claimed");
+                if let Err(p) = catch_unwind(AssertUnwindSafe(|| task(i))) {
+                    payload
+                        .lock()
+                        .expect("exec panic slot poisoned")
+                        .get_or_insert(p);
+                    stop.store(true, Ordering::Relaxed);
+                }
+            }
+        }
+    };
+    thread::scope(|scope| {
+        for w in 1..threads {
+            let (ctx, participate) = (&ctx, &participate);
+            // A helper the OS refuses to start is not needed for
+            // correctness: the others claim its block in ring order.
+            let _ = thread::Builder::new().spawn_scoped(scope, move || {
+                IN_WORKER.with(|flag| flag.set(true));
+                let _adopt = ctx.attach();
+                participate(w);
+            });
+        }
+        serial_scope(|| participate(0));
+    });
+    if let Some(p) = payload.into_inner().expect("exec panic slot poisoned") {
+        resume_unwind(p);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::panic::{catch_unwind, AssertUnwindSafe};
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::atomic::AtomicU64;
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     #[test]
     fn results_come_back_in_input_order() {
@@ -305,10 +370,45 @@ mod tests {
 
     #[test]
     fn every_job_runs_exactly_once() {
-        let hits: Vec<AtomicU64> = (0..100).map(|_| AtomicU64::new(0)).collect();
-        let idx: Vec<usize> = (0..100).collect();
-        Pool::new(7).map_indexed(&idx, |_, &i| hits[i].fetch_add(1, Ordering::Relaxed));
+        // A slow item 0 keeps the caller in its own block while the
+        // helpers drain theirs and move on to it; 101 items over 7
+        // participants leaves blocks of unequal length.
+        let hits: Vec<AtomicU64> = (0..101).map(|_| AtomicU64::new(0)).collect();
+        let idx: Vec<usize> = (0..hits.len()).collect();
+        Pool::new(7).map_indexed(&idx, |_, &i| {
+            if i == 0 {
+                thread::sleep(Duration::from_millis(20));
+            }
+            hits[i].fetch_add(1, Ordering::Relaxed)
+        });
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+    }
+
+    #[test]
+    fn helpers_start_on_their_own_block() {
+        // Width 2 over 8 items: the caller owns [0, 4), the helper
+        // [4, 8). Item 0 holds the caller until another item has run, so
+        // the helper's first claim must be the head of its own block — a
+        // shared counter would hand it 1.
+        let caller = thread::current().id();
+        let runs = Mutex::new(Vec::new());
+        let (ran, other_ran) = mpsc::channel();
+        let other_ran = Mutex::new(other_ran);
+        let items: Vec<usize> = (0..8).collect();
+        Pool::new(2).map_indexed(&items, |i, _| {
+            runs.lock().unwrap().push((thread::current().id(), i));
+            if i == 0 {
+                let _ = other_ran
+                    .lock()
+                    .unwrap()
+                    .recv_timeout(Duration::from_secs(5));
+            } else {
+                let _ = ran.send(());
+            }
+        });
+        let runs = runs.into_inner().unwrap();
+        let first_helper = runs.iter().find(|(id, _)| *id != caller).map(|&(_, i)| i);
+        assert_eq!(first_helper, Some(4), "run order: {runs:?}");
     }
 
     #[test]
@@ -390,5 +490,31 @@ mod tests {
         assert_eq!(Pool::new(0).threads(), 1);
         assert!(Pool::from_env().threads() >= 1);
         assert!(num_threads() >= 1);
+    }
+
+    #[test]
+    fn concurrent_env_scopes_do_not_overlap() {
+        let original = std::env::var("DPM_THREADS").ok();
+        let (open_b, b_may_open) = mpsc::channel();
+        let (b_inside, inside) = mpsc::channel();
+        let (a_checked, checked) = mpsc::channel();
+        // B stays inside its scope until A has checked its width (or A's
+        // sender drops because A failed).
+        let b = thread::spawn(move || {
+            b_may_open.recv().unwrap();
+            with_env_threads(5, || {
+                let _ = b_inside.send(());
+                let _ = checked.recv();
+            });
+        });
+        with_env_threads(3, || {
+            open_b.send(()).unwrap();
+            // With the lock, B cannot get inside until this scope ends.
+            let _ = inside.recv_timeout(Duration::from_millis(100));
+            assert_eq!(num_threads(), 3, "another scope overwrote the width");
+            a_checked.send(()).unwrap();
+        });
+        b.join().unwrap();
+        assert_eq!(std::env::var("DPM_THREADS").ok(), original);
     }
 }

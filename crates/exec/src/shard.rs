@@ -11,11 +11,9 @@
 //! joins completions in arrival order, never holding more than its
 //! in-flight window.
 //!
-//! The workers come from the crate's persistent pool via a *lease*
-//! (`pool::run_lease`): each `run_stream` call borrows `shards` parked
-//! threads instead of paying a spawn/join per call, and returns them
-//! when the feeder finishes. If the OS refuses to grow the pool, the
-//! scope transparently falls back to one scoped thread per shard.
+//! Each worker is a scoped thread spawned for the call and joined before
+//! [`shard_scope`] returns; it owns its shard's state by value and hands
+//! it back through the join.
 //!
 //! Determinism: each shard is serviced by exactly one worker, so a
 //! shard's outcomes depend only on its own item sequence — wall-clock
@@ -27,8 +25,9 @@ use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Condvar, Mutex};
+use std::thread;
 
-use crate::pool;
+use crate::IN_WORKER;
 
 /// A bounded MPSC-ish channel; both ends block, and an abort flag wakes
 /// everyone so a panic on either side cannot deadlock the scope join.
@@ -154,7 +153,7 @@ impl<T, R> ShardFeeder<'_, T, R> {
     }
 }
 
-/// Runs `feed` with one persistent worker per shard, each owning one
+/// Runs `feed` with one scoped worker thread per shard, each owning one
 /// element of `states`.
 ///
 /// Every item pushed to shard `s` runs through `work(s, &mut states[s],
@@ -168,12 +167,12 @@ impl<T, R> ShardFeeder<'_, T, R> {
 /// per shard (the disk simulator guarantees this by capping its in-flight
 /// request window at `capacity`).
 ///
-/// This is a raw primitive: it always dedicates `states.len()` workers
-/// (leased from the persistent pool, or scoped threads as a fallback),
-/// so callers decide *whether* to shard (e.g. fall back to a serial loop
+/// This is a raw primitive: it always spawns `states.len()` workers, so
+/// callers decide *whether* to shard (e.g. fall back to a serial loop
 /// when [`effective_threads`](crate::effective_threads) says 1). Workers
-/// are marked as pool workers, so parallel maps issued from inside `work`
-/// run serially (depth-1 parallelism, as everywhere in this crate).
+/// are marked as map participants, so parallel maps issued from inside
+/// `work` run serially (depth-1 parallelism, as everywhere in this
+/// crate).
 ///
 /// # Panics
 ///
@@ -195,56 +194,61 @@ where
     let shards = states.len();
     let ins: Vec<Chan<T>> = (0..shards).map(|_| Chan::new(capacity)).collect();
     let outs: Vec<Chan<R>> = (0..shards).map(|_| Chan::new(capacity)).collect();
+    let abort_all = || {
+        for c in &ins {
+            c.abort();
+        }
+        for c in &outs {
+            c.abort();
+        }
+    };
     let worker_panic: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
-    let state_slots: Vec<Mutex<Option<S>>> =
-        states.into_iter().map(|s| Mutex::new(Some(s))).collect();
     let ctx = dpm_prof::current_context();
 
-    // Runs on a leased pool worker (IN_WORKER already set) or, in the
-    // scoped fallback, on a thread the pool marks before calling us.
-    let body = |shard: usize| {
+    let body = |shard: usize, mut state: S| -> S {
+        IN_WORKER.with(|flag| flag.set(true));
         // Profiled time lands under the scope that opened the shard
-        // scope, mirroring the pool's map workers.
+        // scope, mirroring the map helpers.
         let _adopt = ctx.attach();
         let _prof = dpm_prof::scope("shard_worker");
         let mut sp = dpm_obs::span!("shard_worker");
         sp.add("shard", shard as u64);
-        let mut state = state_slots[shard]
-            .lock()
-            .expect("shard state slot poisoned")
-            .take()
-            .expect("shard state taken twice");
-        while let Ok(Some(item)) = ins[shard].pop() {
-            match catch_unwind(AssertUnwindSafe(|| work(shard, &mut state, item))) {
-                Ok(r) => {
-                    sp.incr("items");
-                    if outs[shard].push(r).is_err() {
-                        break;
-                    }
-                }
-                Err(p) => {
-                    // First payload wins; abort every queue so the
-                    // feeder and sibling workers unblock.
-                    let mut slot = worker_panic.lock().expect("shard panic slot poisoned");
-                    if slot.is_none() {
-                        *slot = Some(p);
-                    }
-                    drop(slot);
-                    for c in ins.iter() {
-                        c.abort();
-                    }
-                    for c in outs.iter() {
-                        c.abort();
-                    }
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            while let Ok(Some(item)) = ins[shard].pop() {
+                let r = work(shard, &mut state, item);
+                sp.incr("items");
+                if outs[shard].push(r).is_err() {
                     break;
                 }
             }
+        }));
+        if let Err(p) = run {
+            // First payload wins; abort every queue so the feeder and
+            // sibling workers unblock.
+            worker_panic
+                .lock()
+                .expect("shard panic slot poisoned")
+                .get_or_insert(p);
+            abort_all();
         }
-        *state_slots[shard]
-            .lock()
-            .expect("shard state slot poisoned") = Some(state);
+        state
     };
-    let (fed, lease_panic) = pool::run_lease(shards, &body, || {
+    let (joined, fed) = thread::scope(|scope| {
+        let handles: Vec<_> = states
+            .into_iter()
+            .enumerate()
+            .map(|(shard, state)| {
+                let body = &body;
+                thread::Builder::new()
+                    .spawn_scoped(scope, move || body(shard, state))
+                    .unwrap_or_else(|e| {
+                        // Workers already running would wait on their
+                        // queues forever; abort them so the scope joins.
+                        abort_all();
+                        panic!("cannot spawn shard worker: {e}")
+                    })
+            })
+            .collect();
         let mut feeder = ShardFeeder {
             ins: &ins,
             outs: &outs,
@@ -252,19 +256,15 @@ where
         let fed = catch_unwind(AssertUnwindSafe(|| feed(&mut feeder)));
         if fed.is_err() {
             // A panicking feeder can leave workers blocked pushing into
-            // full outcome queues; abort so the lease join can't hang.
-            for c in &ins {
-                c.abort();
-            }
-            for c in &outs {
-                c.abort();
-            }
+            // full outcome queues; abort so the join can't hang.
+            abort_all();
         } else {
             for c in &ins {
                 c.close();
             }
         }
-        fed
+        let joined: Vec<thread::Result<S>> = handles.into_iter().map(|h| h.join()).collect();
+        (joined, fed)
     });
 
     if let Some(p) = worker_panic
@@ -273,25 +273,14 @@ where
     {
         resume_unwind(p);
     }
-    if let Some(p) = lease_panic {
-        // Backstop: a shard body panicked *outside* its work-item catch
-        // (e.g. a poisoned state slot). Ordinary work panics land in
-        // `worker_panic` above.
-        resume_unwind(p);
-    }
-    let out = match fed {
-        Ok(o) => o,
-        Err(p) => resume_unwind(p),
-    };
-    let states = state_slots
+    let states = joined
         .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("shard state slot poisoned")
-                .expect("shard state slot unfilled")
-        })
+        .map(|r| r.unwrap_or_else(|p| resume_unwind(p)))
         .collect();
-    (states, out)
+    match fed {
+        Ok(out) => (states, out),
+        Err(p) => resume_unwind(p),
+    }
 }
 
 #[cfg(test)]
@@ -414,7 +403,7 @@ mod tests {
     }
 
     #[test]
-    fn workers_are_marked_as_pool_workers() {
+    fn workers_are_marked_as_map_participants() {
         let (_, nested) = shard_scope(
             vec![()],
             1,

@@ -376,7 +376,7 @@ pub struct ProfNode {
     /// Completed invocations.
     pub count: u64,
     /// Inclusive wall time (ns) of completed invocations. For scopes whose
-    /// children ran on pool workers in parallel, the children's inclusive
+    /// children ran on worker threads in parallel, the children's inclusive
     /// sum can exceed this (CPU time vs wall time); exclusive times are
     /// clamped at zero accordingly.
     pub total_ns: u64,

@@ -369,10 +369,10 @@ impl<'p> TraceGenerator<'p> {
         sp.add("phases", order.num_phases() as u64);
         // Within a phase the processors are independent (they synchronize
         // only at phase boundaries), so each phase fans the per-processor
-        // streams out to the global persistent pool. `par_map_vec`
-        // returns states in processor order, and per-processor stat
-        // deltas are merged in that same order, so any thread count
-        // (including 1) produces identical traces and stats.
+        // streams out through `dpm_exec::par_map_vec`. It returns states
+        // in processor order, and per-processor stat deltas are merged in
+        // that same order, so any thread count (including 1) produces
+        // identical traces and stats.
         let mut states: Vec<ProcState> = (0..nprocs).map(|proc| self.proc_state(proc)).collect();
         for phase in 0..order.num_phases() {
             // Device-sharing estimate for this phase: a processor's I/O

@@ -51,23 +51,18 @@ run ./target/release/dpm-analyze tiny results/ANALYZE_tiny.json
 # ever loses or duplicates work.
 run cargo test -q --offline --release --test fault_determinism
 
-# Serial-vs-parallel harness: asserts the work-stealing pool reproduces the
-# serial figure-9(a) results byte-for-byte (with the profiler off AND on —
-# profiling must not perturb simulation output), attributes >=95% of the
-# profiled pass's wall time to named scopes (exported to
-# results/PROF_tiny.{txt,json}), runs the skewed-weights stealing
-# microbench, and records wall times, steal counts, and idle fractions.
+# Serial-vs-parallel harness at 4 threads: asserts the parallel map
+# reproduces the serial figure-9(a) results byte-for-byte (with the
+# profiler off AND on — profiling must not perturb simulation output), as
+# do the skewed-weights microbench and a Small-scale run_stream sharded
+# per disk against the serial pass; and attributes >=95% of the profiled
+# pass's wall time to named scopes (exported to
+# results/PROF_tiny.{txt,json}). Records wall times, the cost of one
+# 2-item map (map_dispatch_ns) and the sharded/serial run_stream times.
 # The speedup gate (matrix >1x AND skew >=1.5x) applies only on hosts with
 # >=4 cores; below that the record reports the measured values and says
 # explicitly that the gate was skipped.
 run ./target/release/parallel_bench tiny BENCH_parallel.json
-
-# Oversubscription smoke: same harness at 4x the host's cores. The speedup
-# gate is skipped by construction (DPM_PARALLEL_SMOKE=1); what this checks
-# is that a heavily oversubscribed work-stealing pool neither deadlocks nor
-# loses bit-identity. The record is written for inspection but NOT fed to
-# bench-report — its timings measure contention, not performance.
-run env DPM_PARALLEL_SMOKE=1 ./target/release/parallel_bench tiny results/BENCH_parallel_smoke.json
 
 # Closed-form counting and cached projection-chain gate: asserts the
 # closed-form counts match enumeration, requires >=10x on the counting

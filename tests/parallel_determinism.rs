@@ -6,15 +6,8 @@
 //! tests pin that contract at several thread counts, and check that worker
 //! panics propagate instead of vanishing.
 
-use std::sync::Mutex;
-
 use disk_reuse::prelude::*;
 use dpm_disksim::RaidConfig;
-
-/// Serializes the tests that mutate `DPM_THREADS`: the process environment
-/// is global, so two such tests running on concurrent harness threads
-/// would race each other's pool-width configuration.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 /// A small multi-nest program whose arrays stripe across several disks —
 /// enough work that the sharded simulator actually engages all workers.
@@ -130,16 +123,10 @@ fn sharded_simulator_matches_serial_with_raid_substriping() {
 }
 
 /// The compiler half of the pipeline: Q_d clustering (`restructure_single`)
-/// and trace generation read `DPM_THREADS` through the pool. The schedule
-/// and trace must be identical at 1, 2 and 8 threads.
-///
-/// Holds [`ENV_LOCK`] while mutating `DPM_THREADS`; every other test in
-/// this binary either pins its thread count explicitly or takes the same
-/// lock, so the mutation cannot leak into a concurrently running test's
-/// configuration.
+/// and trace generation read `DPM_THREADS`. The schedule and trace must be
+/// identical at 1, 2 and 8 threads.
 #[test]
 fn restructure_and_trace_deterministic_across_thread_counts() {
-    let _env = ENV_LOCK.lock().expect("env lock poisoned");
     let program = test_program();
     let layout = LayoutMap::new(&program, test_striping());
     let deps = analyze(&program);
@@ -154,34 +141,34 @@ fn restructure_and_trace_deterministic_across_thread_counts() {
     assert!(base_schedule.num_phases() > 0);
     assert!(!base_trace.is_empty());
 
-    for threads in ["1", "2", "8"] {
-        std::env::set_var("DPM_THREADS", threads);
-        let schedule = restructure_single(&program, &layout, &deps);
-        assert_eq!(
-            schedule.num_phases(),
-            base_schedule.num_phases(),
-            "DPM_THREADS={threads}: phase count"
-        );
-        for phase in 0..schedule.num_phases() {
+    for threads in [1, 2, 8] {
+        dpm_exec::with_env_threads(threads, || {
+            let schedule = restructure_single(&program, &layout, &deps);
             assert_eq!(
-                schedule.iters(phase, 0),
-                base_schedule.iters(phase, 0),
-                "DPM_THREADS={threads}: schedule differs in phase {phase}"
+                schedule.num_phases(),
+                base_schedule.num_phases(),
+                "DPM_THREADS={threads}: phase count"
             );
-        }
-        let gen = TraceGenerator::new(&program, &layout, TraceGenOptions::default());
-        let (trace, stats) = gen.generate(&schedule);
-        assert_eq!(
-            trace.requests(),
-            base_trace.requests(),
-            "DPM_THREADS={threads}: generated trace differs"
-        );
-        assert_eq!(
-            stats, base_stats,
-            "DPM_THREADS={threads}: trace stats differ"
-        );
+            for phase in 0..schedule.num_phases() {
+                assert_eq!(
+                    schedule.iters(phase, 0),
+                    base_schedule.iters(phase, 0),
+                    "DPM_THREADS={threads}: schedule differs in phase {phase}"
+                );
+            }
+            let gen = TraceGenerator::new(&program, &layout, TraceGenOptions::default());
+            let (trace, stats) = gen.generate(&schedule);
+            assert_eq!(
+                trace.requests(),
+                base_trace.requests(),
+                "DPM_THREADS={threads}: generated trace differs"
+            );
+            assert_eq!(
+                stats, base_stats,
+                "DPM_THREADS={threads}: trace stats differ"
+            );
+        });
     }
-    std::env::remove_var("DPM_THREADS");
 }
 
 /// A worker panic must surface in the caller with its payload intact — a
@@ -223,11 +210,11 @@ fn parallel_map_preserves_input_order() {
     }
 }
 
-/// Hostile schedule for the work-stealing pool: one cell near the front
-/// of the index space is orders of magnitude slower than the rest, so
-/// the participant that claims it stalls and every other range gets
-/// stolen out from under it. The float outputs must still land bitwise
-/// identical to the serial pass at every pool width.
+/// Hostile schedule for the parallel map: one cell near the front of the
+/// index space is orders of magnitude slower than the rest, so the
+/// participant that claims it stalls and the others claim the rest of
+/// its block from under it. The float outputs must still land bitwise
+/// identical to the serial pass at every width.
 #[test]
 fn stealing_matches_serial_with_pinned_slow_cell() {
     let items: Vec<u64> = (0..256).collect();
@@ -266,7 +253,6 @@ fn stealing_matches_serial_with_pinned_slow_cell() {
 #[test]
 fn skewed_matrix_deterministic_across_thread_counts() {
     use dpm_bench::{run_matrix, ExperimentConfig, MatrixCell, Version};
-    let _env = ENV_LOCK.lock().expect("env lock poisoned");
     let cells = || -> Vec<MatrixCell> {
         let mut v: Vec<MatrixCell> = ["AST", "FFT", "Cholesky"]
             .iter()
@@ -295,23 +281,21 @@ fn skewed_matrix_deterministic_across_thread_counts() {
             })
             .collect()
     };
-    std::env::set_var("DPM_THREADS", "1");
-    let baseline = canonical(run_matrix(cells(), &config));
-    for threads in ["2", "8"] {
-        std::env::set_var("DPM_THREADS", threads);
+    let run = |threads| dpm_exec::with_env_threads(threads, || run_matrix(cells(), &config));
+    let baseline = canonical(run(1));
+    for threads in [2, 8] {
         assert_eq!(
             baseline,
-            canonical(run_matrix(cells(), &config)),
+            canonical(run(threads)),
             "DPM_THREADS={threads}: skewed matrix diverged"
         );
     }
-    std::env::remove_var("DPM_THREADS");
 }
 
-/// Depth-1 nesting through the lease path: each `shard_scope` worker is
-/// a leased pool worker, so a parallel map issued *inside* a shard body
-/// must degrade to the serial path (no recursive stealing) and produce
-/// the same bits as a fully serial evaluation.
+/// Depth-1 nesting through `shard_scope`: each shard worker counts as a
+/// map participant, so a parallel map issued *inside* a shard body must
+/// degrade to the serial path (no nested fan-out) and produce the same
+/// bits as a fully serial evaluation.
 #[test]
 fn nested_map_inside_shard_scope_matches_serial() {
     let inner = |seed: u64| -> Vec<u64> {

@@ -15,15 +15,9 @@
 //!   function of the seeded migration policy: same seed, same events,
 //!   every time.
 
-use std::sync::Mutex;
-
 use disk_reuse::prelude::*;
 use dpm_bench::TierSweepConfig;
 use dpm_disksim::MigrationEvent;
-
-/// Serializes the tests that mutate `DPM_THREADS` (the process
-/// environment is global; see `parallel_determinism.rs`).
-static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 /// One app's restructured Tiny trace on the sweep's flat striping,
 /// built serially so every test sees the same input.
@@ -162,7 +156,6 @@ fn migrated_runs_identical_across_thread_counts() {
 /// explicit `with_exec_threads` override.
 #[test]
 fn migrated_runs_identical_across_dpm_threads_env() {
-    let _guard = ENV_LOCK.lock().unwrap();
     let config = TierSweepConfig::default();
     let (program, layout, trace) = tiny_trace("RSense 2.0", &config);
     let (tiers, _) = tier_setup(&program, &layout, &config);
