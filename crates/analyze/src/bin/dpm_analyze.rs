@@ -5,11 +5,11 @@
 //! ```
 //!
 //! Lints every application, symbolically verifies the disk-major plan,
-//! and (at tiny/small, where enumeration is affordable) exactly verifies
-//! the four scheduler outputs per app. Prints a per-app table, writes
-//! the JSON report (default `results/ANALYZE_<scale>.json`), and exits
-//! non-zero iff any `Error`-severity diagnostic was found — which makes
-//! it usable as a hard gate in `scripts/check.sh`.
+//! and (at tiny/small/large, where enumeration is affordable) exactly
+//! verifies the four scheduler outputs per app. Prints a per-app table,
+//! writes the JSON report (default `results/ANALYZE_<scale>.json`), and
+//! exits non-zero iff any `Error`-severity diagnostic was found — which
+//! makes it usable as a hard gate in `scripts/check.sh`.
 
 use dpm_analyze::analyze_suite;
 use dpm_apps::Scale;
@@ -23,7 +23,7 @@ fn main() -> ExitCode {
     let (scale, exact) = match scale_arg {
         "tiny" => (Scale::Tiny, true),
         "small" => (Scale::Small, true),
-        "large" => (Scale::Large, false),
+        "large" => (Scale::Large, true),
         "paper" => (Scale::Paper, false),
         other => {
             eprintln!("dpm-analyze: unknown scale `{other}` (want tiny|small|large|paper)");

@@ -32,8 +32,8 @@ fn diags_json(diags: &[Diagnostic]) -> Json {
 /// Always runs the lint pass and the symbolic disk-major verification.
 /// With `exact`, additionally builds and verifies the four scheduler
 /// outputs per app — `original`, `restructure_single`, and both §6
-/// parallelizers at `procs` processors — by exact enumeration (only
-/// sensible at Tiny/Small).
+/// parallelizers at `procs` processors — by exact enumeration (about 5 s
+/// for the whole suite at Large).
 pub fn analyze_suite(scale: Scale, procs: u32, exact: bool) -> SuiteReport {
     let mut sp = dpm_obs::span!("analyze_suite");
     let striping = dpm_apps::paper_striping();

@@ -1,10 +1,13 @@
 //! Exact schedule legality verification by enumeration.
 //!
 //! Works for any [`Schedule`] over any program whose iteration domains
-//! fit in memory (the Tiny/Small suite scales): it rebuilds the schedule
-//! *position* of every iteration and discharges each dependence as a
-//! concrete precedes-check, so a violation always comes with a witness
-//! iteration pair.
+//! fit in memory (the Tiny through Large suite scales): it rebuilds the
+//! schedule *position* of every iteration, in a per-nest table indexed by
+//! the iteration's dense rank ([`DomainIndex`]), and discharges each
+//! dependence as a concrete precedes-check, so a violation always comes
+//! with a witness iteration pair. Each obligation costs time linear in the
+//! iterations it covers, barriers included; only `*` distance vectors are
+//! checked pairwise.
 //!
 //! ## Ordering model
 //!
@@ -34,9 +37,9 @@
 //! per-pair check accepts it while still rejecting any real violation.
 
 use crate::diag::{DiagCode, DiagSink, Diagnostic, Location};
-use dpm_core::{CompactIter, Schedule};
+use dpm_core::{CompactIter, DomainIndex, Schedule};
 use dpm_ir::{CrossDep, DependenceInfo, DistElem, Program};
-use std::collections::HashMap;
+use dpm_trace::walk_nest;
 
 /// A schedule position; ordering semantics in the module docs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -95,19 +98,27 @@ pub fn verify_schedule(
         }
     }
 
-    let spaces: Vec<_> = program.nests.iter().map(|n| n.iteration_space()).collect();
-
-    // Pass 1: position map + foreign/duplicate detection.
-    let mut pos: HashMap<CompactIter, Pos> = HashMap::new();
+    // Each nest's domain as a dense rank: `pos[ni][rank]` is the position
+    // of that iteration, and membership is `rank(..).is_some()`.
+    let indices: Vec<DomainIndex> = program.nests.iter().map(DomainIndex::new).collect();
+    let mut pos: Vec<Vec<Option<Pos>>> = indices.iter().map(|ix| vec![None; ix.len()]).collect();
+    // Occurrence lists in schedule order, kept only for barrier endpoints.
+    let mut in_barrier = vec![false; program.nests.len()];
+    for dep in &deps.cross {
+        if let CrossDep::Barrier { src_nest, dst_nest } = dep {
+            in_barrier[*src_nest] = true;
+            in_barrier[*dst_nest] = true;
+        }
+    }
     let mut occ: Vec<Vec<(Pos, CompactIter)>> = vec![Vec::new(); program.nests.len()];
+
+    // Pass 1: position table + foreign/duplicate detection.
+    let mut buf = [0i64; CompactIter::MAX_DEPTH];
     schedule.for_each_scheduled(|phase, proc, idx, it| {
         let here = Pos { phase, proc, idx };
         let ni = it.nest as usize;
-        let coords = it.coords();
-        if ni >= program.nests.len()
-            || coords.len() != program.nests[ni].depth()
-            || !spaces[ni].contains(&coords)
-        {
+        let coords = it.coords_into(&mut buf);
+        let Some(rank) = indices.get(ni).and_then(|ix| ix.rank(coords)) else {
             sink.push(Diagnostic::new(
                 DiagCode::CoverageForeign,
                 Location::none(),
@@ -119,9 +130,11 @@ pub fn verify_schedule(
                 ),
             ));
             return;
+        };
+        if in_barrier[ni] {
+            occ[ni].push((here, it));
         }
-        occ[ni].push((here, it));
-        if let Some(first) = pos.insert(it, here) {
+        if let Some(first) = pos[ni][rank].replace(here) {
             sink.push(Diagnostic::new(
                 DiagCode::CoverageDuplicate,
                 Location::nest(ni).with_pos(program.src.nest(ni)),
@@ -138,33 +151,39 @@ pub fn verify_schedule(
 
     // Pass 1b: missing iterations.
     for (ni, nest) in program.nests.iter().enumerate() {
-        for pt in nest.iterations() {
-            if !pos.contains_key(&CompactIter::new(ni, &pt)) {
+        let mut rank = 0;
+        walk_nest(nest, &mut |pt| {
+            if pos[ni][rank].is_none() {
                 sink.push(Diagnostic::new(
                     DiagCode::CoverageMissing,
                     Location::nest(ni).with_pos(program.src.nest(ni)),
                     format!("iteration {} {:?} is never scheduled", nest.name, pt),
                 ));
             }
-        }
+            rank += 1;
+        });
     }
 
     // Pass 2: intra-nest dependences.
     for (ni, nest) in program.nests.iter().enumerate() {
         let name = &nest.name;
         let loc = || Location::nest(ni).with_pos(program.src.nest(ni));
+        let (index, pos) = (&indices[ni], &pos[ni]);
         // Exact vectors: the source of sink J under distance d is J − d.
         for d in deps.nest_exact_distances(ni) {
-            for sink_pt in nest.iterations() {
-                let src_pt: Vec<i64> = sink_pt.iter().zip(&d).map(|(j, k)| j - k).collect();
-                if !spaces[ni].contains(&src_pt) {
-                    continue;
+            let mut sink_rank = 0;
+            walk_nest(nest, &mut |sink_pt| {
+                let pj = pos[sink_rank];
+                sink_rank += 1;
+                let src_pt = &mut buf[..sink_pt.len()];
+                for ((s, j), k) in src_pt.iter_mut().zip(sink_pt).zip(&d) {
+                    *s = j - k;
                 }
-                let (Some(&ps), Some(&pj)) = (
-                    pos.get(&CompactIter::new(ni, &src_pt)),
-                    pos.get(&CompactIter::new(ni, &sink_pt)),
-                ) else {
-                    continue; // already reported as a coverage error
+                let Some(src_rank) = index.rank(src_pt) else {
+                    return;
+                };
+                let (Some(ps), Some(pj)) = (pos[src_rank], pj) else {
+                    return; // already reported as a coverage error
                 };
                 if !precedes(ps, pj) {
                     let code = if concurrent(ps, pj) {
@@ -183,7 +202,7 @@ pub fn verify_schedule(
                         ),
                     ));
                 }
-            }
+            });
         }
         // Star vectors: enumerate every potentially dependent pair. Dedup
         // the vectors first — several statement pairs often share one.
@@ -193,13 +212,15 @@ pub fn verify_schedule(
                 star_vecs.push(dep.distance.0.clone());
             }
         }
-        if star_vecs.is_empty() {
-            continue;
-        }
-        let points = nest.iterations();
         for d in &star_vecs {
-            for sink_pt in &points {
-                for src_pt in &points {
+            let mut sink_rank = 0;
+            walk_nest(nest, &mut |sink_pt| {
+                let pj = pos[sink_rank];
+                sink_rank += 1;
+                let mut src_rank = 0;
+                walk_nest(nest, &mut |src_pt| {
+                    let ps = pos[src_rank];
+                    src_rank += 1;
                     // src must match the exact entries and be a true
                     // lexicographic predecessor of the sink.
                     let matches = d.iter().enumerate().all(|(v, e)| match e {
@@ -207,25 +228,19 @@ pub fn verify_schedule(
                         DistElem::Star => true,
                     });
                     if !matches {
-                        continue;
+                        return;
                     }
-                    let delta: Vec<i64> = sink_pt
+                    let lex_positive = sink_pt
                         .iter()
-                        .zip(src_pt.iter())
+                        .zip(src_pt)
                         .map(|(j, i)| j - i)
-                        .collect();
-                    let lex_positive = delta
-                        .iter()
-                        .find(|&&x| x != 0)
-                        .is_some_and(|&first| first > 0);
+                        .find(|&x| x != 0)
+                        .is_some_and(|first| first > 0);
                     if !lex_positive {
-                        continue;
+                        return;
                     }
-                    let (Some(&ps), Some(&pj)) = (
-                        pos.get(&CompactIter::new(ni, src_pt)),
-                        pos.get(&CompactIter::new(ni, sink_pt)),
-                    ) else {
-                        continue;
+                    let (Some(ps), Some(pj)) = (ps, pj) else {
+                        return;
                     };
                     if !precedes(ps, pj) {
                         let code = if concurrent(ps, pj) {
@@ -244,8 +259,8 @@ pub fn verify_schedule(
                             ),
                         ));
                     }
-                }
-            }
+                });
+            });
         }
     }
 
@@ -258,16 +273,20 @@ pub fn verify_schedule(
                 map,
             } => {
                 let (si, di) = (*src_nest, *dst_nest);
-                for dst_pt in program.nests[di].iterations() {
-                    let src_pt = map.apply(&dst_pt);
-                    if !spaces[si].contains(&src_pt) {
-                        continue;
+                let mut dst_rank = 0;
+                walk_nest(&program.nests[di], &mut |dst_pt| {
+                    let pd = pos[di][dst_rank];
+                    dst_rank += 1;
+                    let src_pt = &mut buf[..map.src_depth()];
+                    for (v, s) in src_pt.iter_mut().enumerate() {
+                        let (coef, dst_var, constant) = map.term(v);
+                        *s = coef * dst_pt[dst_var] + constant;
                     }
-                    let (Some(&ps), Some(&pd)) = (
-                        pos.get(&CompactIter::new(si, &src_pt)),
-                        pos.get(&CompactIter::new(di, &dst_pt)),
-                    ) else {
-                        continue;
+                    let Some(src_rank) = indices[si].rank(src_pt) else {
+                        return;
+                    };
+                    let (Some(ps), Some(pd)) = (pos[si][src_rank], pd) else {
+                        return;
                     };
                     if !precedes(ps, pd) {
                         sink.push(Diagnostic::new(
@@ -290,7 +309,7 @@ pub fn verify_schedule(
                             ),
                         ));
                     }
-                }
+                });
             }
             CrossDep::Barrier { src_nest, dst_nest } => {
                 if let Some((s, d)) = barrier_witness(&occ[*src_nest], &occ[*dst_nest]) {
@@ -321,8 +340,11 @@ pub fn verify_schedule(
 }
 
 /// Finds a violating pair for an all-before-all barrier between the
-/// occurrence lists of two nests, without comparing all pairs: only the
-/// latest source phase and earliest destination phase can clash.
+/// occurrence lists of two nests (each in schedule order), in one pass:
+/// only the latest source phase and earliest destination phase can clash.
+/// Returns the pair the all-pairs scan would find first — the first
+/// source entry that violates against any sink entry, with its first
+/// violating sink entry.
 fn barrier_witness(
     src: &[(Pos, CompactIter)],
     dst: &[(Pos, CompactIter)],
@@ -338,18 +360,22 @@ fn barrier_witness(
         return None;
     }
     // Same phase: any cross-processor pair is unordered; a same-processor
-    // pair is ordered by issue index.
+    // pair is ordered by `idx`. The sink's entries in this phase come
+    // in (proc, idx) order, so for a source entry the first violating sink
+    // entry is the first one, unless that shares the source's processor
+    // and runs later — then every entry on that processor does, and the
+    // first entry on another processor is it.
     let p = max_src_phase;
-    let src_p: Vec<_> = src.iter().filter(|(q, _)| q.phase == p).collect();
-    let dst_p: Vec<_> = dst.iter().filter(|(q, _)| q.phase == p).collect();
-    for s in &src_p {
-        for d in &dst_p {
-            if s.0.proc != d.0.proc || s.0.idx > d.0.idx {
-                return Some((**s, **d));
-            }
+    let mut dst_p = dst.iter().filter(|(q, _)| q.phase == p);
+    let first = *dst_p.next()?;
+    let other = dst_p.find(|(q, _)| q.proc != first.0.proc).copied();
+    src.iter().filter(|(q, _)| q.phase == p).find_map(|&s| {
+        if s.0.proc != first.0.proc || s.0.idx > first.0.idx {
+            Some((s, first))
+        } else {
+            other.map(|d| (s, d))
         }
-    }
-    None
+    })
 }
 
 #[cfg(test)]
@@ -539,6 +565,84 @@ mod tests {
             diags.iter().any(|x| x.code == DiagCode::BarrierOrder),
             "{diags:?}"
         );
+    }
+
+    /// The all-pairs barrier scan the one-pass [`barrier_witness`]
+    /// replaced, kept as its oracle.
+    fn barrier_witness_all_pairs(
+        src: &[(Pos, CompactIter)],
+        dst: &[(Pos, CompactIter)],
+    ) -> Option<((Pos, CompactIter), (Pos, CompactIter))> {
+        let max_src_phase = src.iter().map(|(p, _)| p.phase).max()?;
+        let min_dst_phase = dst.iter().map(|(p, _)| p.phase).min()?;
+        if max_src_phase > min_dst_phase {
+            let s = *src.iter().find(|(p, _)| p.phase == max_src_phase)?;
+            let d = *dst.iter().find(|(p, _)| p.phase == min_dst_phase)?;
+            return Some((s, d));
+        }
+        if max_src_phase < min_dst_phase {
+            return None;
+        }
+        let p = max_src_phase;
+        let src_p: Vec<_> = src.iter().filter(|(q, _)| q.phase == p).collect();
+        let dst_p: Vec<_> = dst.iter().filter(|(q, _)| q.phase == p).collect();
+        for s in &src_p {
+            for d in &dst_p {
+                if s.0.proc != d.0.proc || s.0.idx > d.0.idx {
+                    return Some((**s, **d));
+                }
+            }
+        }
+        None
+    }
+
+    /// Every placement of up to five source/sink iterations over 1–3
+    /// processors and 1–2 phases, in every order within each (phase,
+    /// processor) list: the one-pass witness equals the all-pairs one.
+    #[test]
+    fn one_pass_barrier_witness_matches_all_pairs_scan() {
+        let mut checked = 0u64;
+        for (phases, procs) in [(1u32, 1u32), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)] {
+            let slots = phases * procs;
+            for n in 1..=5u32 {
+                for kinds in 0..1u32 << n {
+                    for code in 0..slots.pow(n) {
+                        // Item k is a source iff bit k of `kinds` is set, and
+                        // goes to slot `code`'s k-th base-`slots` digit; items
+                        // keep their k order within a slot.
+                        let mut lists = vec![Vec::new(); slots as usize];
+                        let mut c = code;
+                        for k in 0..n {
+                            lists[(c % slots) as usize].push(k);
+                            c /= slots;
+                        }
+                        let (mut src, mut dst) = (Vec::new(), Vec::new());
+                        for (slot, list) in lists.iter().enumerate() {
+                            for (idx, &k) in list.iter().enumerate() {
+                                let at = Pos {
+                                    phase: slot / procs as usize,
+                                    proc: slot as u32 % procs,
+                                    idx,
+                                };
+                                let it = CompactIter::new(0, &[i64::from(k)]);
+                                if kinds >> k & 1 == 1 {
+                                    src.push((at, it));
+                                } else {
+                                    dst.push((at, it));
+                                }
+                            }
+                        }
+                        assert_eq!(
+                            barrier_witness(&src, &dst),
+                            barrier_witness_all_pairs(&src, &dst),
+                            "src {src:?} dst {dst:?}"
+                        );
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert!(checked > 100_000, "{checked}");
     }
 
     #[test]

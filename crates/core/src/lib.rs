@@ -40,6 +40,7 @@
 
 mod classic;
 mod directives;
+mod domain;
 mod multi;
 mod schedule;
 mod single;
@@ -47,6 +48,7 @@ mod symbolic;
 
 pub use classic::{can_fuse, can_interchange, fuse_program, interchange, tile};
 pub use directives::{Directive, DirectiveKind, DirectiveTable, SchedulePos};
+pub use domain::DomainIndex;
 pub use multi::{
     affinity_classes, disk_group_owner, distribution_dims, parallelize_baseline,
     parallelize_layout_aware, region_owner, Assignment,

@@ -10,6 +10,7 @@
 //! (Figure 4). Dependence-free programs finish in a single round with each
 //! disk visited once — the perfect disk reuse of Figure 2(c).
 
+use crate::domain::DomainIndex;
 use crate::schedule::{iteration_disk_mask_with, CompactIter, Schedule};
 use dpm_ir::{CrossDep, DependenceInfo, NestId, Program};
 use dpm_layout::LayoutMap;
@@ -18,6 +19,8 @@ use dpm_layout::LayoutMap;
 struct NestTable {
     base_id: usize,
     iters: Vec<CompactIter>,
+    /// Dense rank of the nest's domain: `iters[index.rank(p)?]` is `p`.
+    index: DomainIndex,
     /// Exact intra-nest distance vectors.
     distances: Vec<Vec<i64>>,
     /// `true` if the nest carries a `*` dependence and must keep its
@@ -53,7 +56,9 @@ impl IdBitset {
 
 /// Whether iteration `idx` of nest `ni` (global id `id`) has all its
 /// dependence predecessors scheduled — shared by both scheduling engines
-/// and the fallback path.
+/// and the fallback path. Each predecessor is computed into a stack array
+/// and located through its nest's [`DomainIndex`], so the check allocates
+/// nothing.
 fn iter_ready(
     tables: &[NestTable],
     id: usize,
@@ -72,25 +77,31 @@ fn iter_ready(
     if t.serial && idx > 0 && !scheduled[id - 1] {
         return false;
     }
-    if !t.distances.is_empty() {
-        let pt = t.iters[idx].coords_into(buf).to_vec();
-        for d in &t.distances {
-            let pred: Vec<i64> = pt.iter().zip(d).map(|(a, b)| a - b).collect();
-            if let Some(pid) = find_iter(&tables[ni], ni, &pred) {
-                if !scheduled[pid] {
-                    return false;
-                }
+    if t.distances.is_empty() && t.exact_preds.is_empty() {
+        return true;
+    }
+    let pt = t.iters[idx].coords_into(buf);
+    let mut pred = [0i64; CompactIter::MAX_DEPTH];
+    for d in &t.distances {
+        for ((p, a), b) in pred.iter_mut().zip(pt.iter()).zip(d) {
+            *p = a - b;
+        }
+        if let Some(pid) = find_iter(t, ni, &pred[..pt.len()]) {
+            if !scheduled[pid] {
+                return false;
             }
         }
     }
-    if !t.exact_preds.is_empty() {
-        let pt = t.iters[idx].coords_into(buf).to_vec();
-        for (src, map) in &t.exact_preds {
-            let pred = map.apply(&pt);
-            if let Some(pid) = find_iter(&tables[*src], *src, &pred) {
-                if !scheduled[pid] {
-                    return false;
-                }
+    for (src, map) in &t.exact_preds {
+        // Every table's nest fits a CompactIter, so the source point does.
+        let src_pt = &mut pred[..map.src_depth()];
+        for (v, p) in src_pt.iter_mut().enumerate() {
+            let (coef, dst_var, constant) = map.term(v);
+            *p = coef * pt[dst_var] + constant;
+        }
+        if let Some(pid) = find_iter(&tables[*src], *src, src_pt) {
+            if !scheduled[pid] {
+                return false;
             }
         }
     }
@@ -435,9 +446,12 @@ fn build_tables(program: &Program, deps: &DependenceInfo) -> Vec<NestTable> {
             }
         }
         let len = iters.len();
+        let index = DomainIndex::new(nest);
+        debug_assert_eq!(index.len(), len);
         tables.push(NestTable {
             base_id: base,
             iters,
+            index,
             distances: deps.nest_exact_distances(ni),
             serial: deps.nest_requires_original_order(ni),
             exact_preds,
@@ -448,8 +462,8 @@ fn build_tables(program: &Program, deps: &DependenceInfo) -> Vec<NestTable> {
     tables
 }
 
-/// Binary-searches a nest table for an iteration point, returning its
-/// global id.
+/// Locates an iteration point in a nest table, returning its global id, or
+/// `None` when the point lies outside the nest's domain.
 ///
 /// A point that cannot be packed into a [`CompactIter`] — deeper than
 /// [`CompactIter::MAX_DEPTH`] or with a coordinate outside `i32` — cannot
@@ -471,21 +485,7 @@ fn find_iter(table: &NestTable, nest: NestId, pt: &[i64]) -> Option<usize> {
         );
         return None;
     }
-    let key = CompactIter::new(nest, pt);
-    table
-        .iters
-        .binary_search_by(|probe| probe.cmp_coords(&key))
-        .ok()
-        .map(|idx| table.base_id + idx)
-}
-
-impl CompactIter {
-    /// Lexicographic comparison of the coordinate tuples (same-nest,
-    /// same-depth iterations only).
-    pub(crate) fn cmp_coords(&self, other: &CompactIter) -> std::cmp::Ordering {
-        debug_assert_eq!(self.nest, other.nest);
-        self.coords().cmp(&other.coords())
-    }
+    table.index.rank(pt).map(|idx| table.base_id + idx)
 }
 
 #[cfg(test)]
@@ -627,7 +627,10 @@ mod tests {
 
     /// Both scheduling engines must agree exactly — the bitset engine is
     /// only an optimization. Exercised across dependence-free, intra-nest,
-    /// cross-nest-exact, barrier, and serial programs.
+    /// cross-nest-exact, barrier, and serial programs, rectangular and not:
+    /// the last two are Cholesky's shape (triangular, with an intra-nest
+    /// distance and a transposed cross-nest map) and Visuo's (3-D, with a
+    /// barrier).
     #[test]
     fn bitset_engine_matches_reference_engine() {
         let programs = [
@@ -643,7 +646,29 @@ mod tests {
              nest L2 { for i = 0 .. 31 { for j = 0 .. 7 { A[2*i][j] = A[2*i][j] + 1; } } }",
             "program t; array A[64] : f64;
              nest L { for i = 0 .. 63 { for j = 0 .. 3 { A[i] = A[i] + 1; } } }",
+            "program t; const N = 24; array L[N][N] : f64; array S[N][N] : f64;
+             nest panel { for i = 1 .. N-1 { for j = 0 .. i { L[i][j] = f(L[i-1][j], L[i][j]); } } }
+             nest scale { for i = 0 .. N-1 { for j = 0 .. i { S[i][j] = g(L[i][j], L[j][i]); } } }",
+            "program t; const D = 3; const N = 16;
+             array V[D][N][N] : f64; array T[D][N][N] : f64; array F[N][N] : f64;
+             nest transform { for d = 0 .. D-1 { for x = 0 .. N-1 { for y = 0 .. N-1 {
+               T[d][x][y] = f(V[d][x][y]); } } } }
+             nest sample { for x = 0 .. N-1 { for y = 0 .. N-1 {
+               F[x][y] = g(T[0][x][y], T[D-1][x][y]); } } }",
         ];
+        let (cholesky, visuo) = (
+            dpm_ir::analyze(&dpm_ir::parse_program(programs[5]).unwrap()),
+            dpm_ir::analyze(&dpm_ir::parse_program(programs[6]).unwrap()),
+        );
+        assert!(cholesky.nest_exact_distances(0).contains(&vec![1, 0]));
+        assert!(cholesky.cross.iter().any(|c| matches!(
+            c,
+            CrossDep::Exact { map, .. } if !map.is_identity()
+        )));
+        assert!(visuo
+            .cross
+            .iter()
+            .any(|c| matches!(c, CrossDep::Barrier { .. })));
         for src in programs {
             let (p, layout, deps) = setup(src, Striping::new(512, 4, 0));
             let fast = restructure_single(&p, &layout, &deps);
@@ -651,6 +676,15 @@ mod tests {
             assert_eq!(fast.num_phases(), reference.num_phases(), "{src}");
             assert_eq!(fast.iters(0, 0), reference.iters(0, 0), "{src}");
         }
+    }
+
+    /// The domain of `iters: vec![CompactIter::new(0, &[0])]` below.
+    fn one_point_index() -> DomainIndex {
+        let p = dpm_ir::parse_program(
+            "program t; array A[1] : f64; nest L { for i = 0 .. 0 { A[i] = 1; } }",
+        )
+        .unwrap();
+        DomainIndex::new(&p.nests[0])
     }
 
     /// A dependence-predecessor probe that cannot be packed into a
@@ -663,6 +697,7 @@ mod tests {
         let table = NestTable {
             base_id: 0,
             iters: vec![CompactIter::new(0, &[0])],
+            index: one_point_index(),
             distances: Vec::new(),
             serial: false,
             exact_preds: Vec::new(),
@@ -686,6 +721,7 @@ mod tests {
         let table = NestTable {
             base_id: 0,
             iters: vec![CompactIter::new(0, &[0])],
+            index: one_point_index(),
             distances: Vec::new(),
             serial: false,
             exact_preds: Vec::new(),

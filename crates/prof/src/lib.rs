@@ -173,9 +173,11 @@ impl Tree {
     }
 }
 
-/// Global accumulator of trees from threads that have exited. Pool workers
-/// are scoped threads, so by the time their spawner regains control their
-/// trees have been merged here.
+/// Global accumulator of per-thread trees. A thread's tree arrives here
+/// early only when the thread attached a context and that context detaches
+/// at its root, as `dpm-exec`'s helpers and shard workers do (DESIGN §12).
+/// Any other thread's tree arrives at thread exit, from a TLS destructor
+/// that can run after `thread::scope` has already returned to the spawner.
 fn retired() -> &'static Mutex<Tree> {
     static RETIRED: OnceLock<Mutex<Tree>> = OnceLock::new();
     RETIRED.get_or_init(|| Mutex::new(Tree::new()))
@@ -389,10 +391,12 @@ pub struct Profile {
     nodes: Vec<ProfNode>,
 }
 
-/// Takes a snapshot of everything profiled so far: trees of exited threads
-/// plus the calling thread's own tree. Call after parallel sections have
-/// joined (the `dpm-exec` pool uses scoped threads, so this holds whenever
-/// its maps have returned).
+/// Takes a snapshot of everything profiled so far: the retired accumulator
+/// plus the calling thread's own tree. A worker's scopes are included once
+/// its attached context has detached, which holds whenever a `dpm-exec` map
+/// or shard scope has returned. A thread that never attached a context
+/// flushes only at exit, so its scopes may still be missing after the
+/// `thread::scope` that ran it returns.
 pub fn snapshot() -> Profile {
     let mut merged = Tree::new();
     merged.merge(&retired().lock().unwrap_or_else(|e| e.into_inner()));
@@ -559,11 +563,27 @@ mod tests {
         LOCK.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn fresh() -> MutexGuard<'static, ()> {
+    /// Holds the profiler lock for one test. Dropped last (it is bound
+    /// first), it disables and resets before releasing the lock, so the
+    /// test thread's tree is empty when libtest retires the thread: its exit
+    /// merge, which lands after the lock is gone, has nothing to add to the
+    /// next test's snapshot.
+    struct Fresh {
+        _lock: MutexGuard<'static, ()>,
+    }
+
+    impl Drop for Fresh {
+        fn drop(&mut self) {
+            disable();
+            reset();
+        }
+    }
+
+    fn fresh() -> Fresh {
         let g = lock();
         disable();
         reset();
-        g
+        Fresh { _lock: g }
     }
 
     #[test]
@@ -636,6 +656,10 @@ mod tests {
         }
         std::thread::scope(|s| {
             s.spawn(|| {
+                // Attached, so the tree is retired before `thread::scope`
+                // returns rather than at thread exit, which could land
+                // after the `reset` below.
+                let _ctx = ProfContext::default().attach();
                 let _b = scope("gone_too");
             });
         });

@@ -43,8 +43,12 @@ run cargo clippy --offline --workspace --lib -- \
 # Static legality gate: lint every app, symbolically verify the disk-major
 # plan, and exactly verify all four scheduler outputs per app. Exits
 # non-zero on any Error-severity diagnostic, so an illegal schedule or a
-# malformed program fails the build before any benchmark runs.
+# malformed program fails the build before any benchmark runs. The Large
+# run proves legal, at the benchmark's own scale, four of the five
+# schedule shapes figure9-large simulates (all but the unclustered
+# 4-processor baseline).
 run ./target/release/dpm-analyze tiny results/ANALYZE_tiny.json
+run ./target/release/dpm-analyze large results/ANALYZE_large.json
 
 # Fault-injection determinism suite in release mode: same seed => bit-identical
 # reports at 1/2/8 threads, zero plan indistinguishable from no plan, no plan
