@@ -1,9 +1,12 @@
 //! Golden snapshot of the static energy oracle's `PredictedReport`s:
-//! every Tiny-suite application under the original single-processor
-//! schedule and reactive TPM, plus a synthetic long-burst program (the
-//! only Tiny-sized input whose windows clear break-even) under all three
+//! every Tiny-suite application under reactive TPM and each of the five
+//! schedule shapes `analyze-d4` analyzes (the original single-processor
+//! order, disk-reuse restructuring, and the three 4-processor
+//! parallelizations), plus a synthetic long-burst program (the only
+//! Tiny-sized input whose windows clear break-even) under all three
 //! power policies. Any change to the bound math, the window derivation,
-//! or the report wire format shows up here as a per-field diff.
+//! the schedule walk, or the report wire format shows up here as a
+//! per-field diff.
 //!
 //! To regenerate after an intentional change:
 //!
@@ -12,6 +15,7 @@
 //! ```
 
 use disk_reuse::prelude::*;
+use dpm_bench::ScheduleShape;
 use dpm_disksim::RaidConfig;
 use dpm_obs::Json;
 use std::path::PathBuf;
@@ -22,17 +26,42 @@ fn golden_path(name: &str) -> PathBuf {
         .join(name)
 }
 
+/// The schedule shapes past the original order, with the labels their
+/// reports carry (the multi-processor ones take the phase-granularity
+/// window path).
+const SHAPES: [(ScheduleShape, u32, &str); 4] = [
+    (ScheduleShape::ClusteredS, 1, "clustered-s-1p"),
+    (ScheduleShape::Plain, 4, "plain-4p"),
+    (ScheduleShape::ClusteredS, 4, "clustered-s-4p"),
+    (ScheduleShape::ClusteredM, 4, "clustered-m-4p"),
+];
+
 fn predict(
     program: &Program,
     layout: &LayoutMap,
     options: &TraceGenOptions,
     policy: &PowerPolicy,
 ) -> Json {
-    let schedule = original_schedule(program);
+    predict_on(
+        program,
+        layout,
+        &original_schedule(program),
+        options,
+        policy,
+    )
+}
+
+fn predict_on(
+    program: &Program,
+    layout: &LayoutMap,
+    schedule: &Schedule,
+    options: &TraceGenOptions,
+    policy: &PowerPolicy,
+) -> Json {
     predict_energy(
         program,
         layout,
-        &schedule,
+        schedule,
         options,
         &DiskParams::default(),
         policy,
@@ -47,21 +76,26 @@ fn build_oracle_tiny() -> Json {
         max_request_bytes: striping.stripe_unit(),
         ..TraceGenOptions::default()
     };
+    let tpm = PowerPolicy::Tpm(TpmConfig::default());
     let mut apps = Vec::new();
     for app in suite(dpm_apps::Scale::Tiny) {
         let program = app.program();
         let layout = LayoutMap::new(&program, striping);
+        let deps = analyze(&program);
+        let shapes = SHAPES
+            .iter()
+            .map(|&(shape, procs, label)| {
+                let schedule = dpm_bench::build_schedule(&program, &layout, &deps, shape, procs);
+                (
+                    label,
+                    predict_on(&program, &layout, &schedule, &options, &tpm),
+                )
+            })
+            .collect();
         apps.push(Json::obj(vec![
             ("app", Json::Str(app.name.into())),
-            (
-                "tpm",
-                predict(
-                    &program,
-                    &layout,
-                    &options,
-                    &PowerPolicy::Tpm(TpmConfig::default()),
-                ),
-            ),
+            ("tpm", predict(&program, &layout, &options, &tpm)),
+            ("tpm_shapes", Json::obj(shapes)),
         ]));
     }
     // The long-burst fixture: the only Tiny-sized input with provable
@@ -100,10 +134,27 @@ fn build_oracle_tiny() -> Json {
             ),
         ),
     ]);
+    // The same bursts on two processors, one nest per phase: disk 1
+    // idles through phase 0 and disk 0 through phase 1, which pins the
+    // phase-granularity windows with content.
+    let mut two_phase = Schedule::new(2, 2);
+    for (ni, nest) in burst.nests.iter().enumerate() {
+        dpm_trace::walk_nest(nest, &mut |pt| {
+            two_phase.push(ni, ni as u32, dpm_core::CompactIter::new(ni, pt))
+        });
+    }
+    let burst_2p = predict_on(
+        &burst,
+        &burst_layout,
+        &two_phase,
+        &burst_options,
+        &PowerPolicy::Directive(DirectiveConfig::for_params(&params)),
+    );
     Json::obj(vec![
         ("title", Json::Str("oracle_tiny".into())),
         ("apps", Json::Arr(apps)),
         ("burst", burst_reports),
+        ("burst_2p", burst_2p),
     ])
 }
 
