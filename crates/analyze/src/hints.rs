@@ -29,99 +29,103 @@ use dpm_core::{Directive, DirectiveKind, DirectiveTable, Schedule, SchedulePos};
 use dpm_disksim::DiskParams;
 use dpm_ir::Program;
 use dpm_layout::LayoutMap;
+use dpm_trace::compile::CompiledProgram;
 use dpm_trace::TraceGenOptions;
 
-/// The static access model `verify_hints` checks against: per-disk touch
-/// positions and per-(phase, processor) compute prefix sums.
-struct HintModel {
-    /// Touch positions per disk, in schedule-walk order (deduplicated
-    /// per iteration).
-    touches: Vec<Vec<SchedulePos>>,
+/// The compute-only timing model both hint passes use: per-(phase,
+/// processor) compute prefix sums and per-phase floors. The inserter
+/// places pre-activations with it and the verifier checks their leads
+/// with it, so the two agree on every lead to the last bit.
+#[derive(Clone, Debug, PartialEq)]
+pub struct ComputePrefix {
     /// `prefix[phase][proc][i]` = compute (ms) of the processor's first
-    /// `i` iterations in the phase; last entry is the phase total.
-    prefix: Vec<Vec<Vec<f64>>>,
+    /// `i` iterations in the phase; the last entry is the phase total (a
+    /// processor with no iterations in the phase has just `[0.0]`).
+    pub prefix: Vec<Vec<Vec<f64>>>,
     /// Slowest processor's compute per phase — a lower bound on the
     /// phase's barrier-to-barrier duration.
-    phase_floor: Vec<f64>,
+    pub phase_floor: Vec<f64>,
 }
 
-fn build_model(
+/// Builds the [`ComputePrefix`] of `schedule`. One iteration's compute is
+/// its statements' times, each converted at the generator's clock and
+/// summed in body order.
+pub fn compute_prefix(
+    program: &Program,
+    schedule: &Schedule,
+    options: &TraceGenOptions,
+) -> ComputePrefix {
+    let iter_ms: Vec<f64> = program
+        .nests
+        .iter()
+        .map(|n| {
+            n.body
+                .iter()
+                .fold(0.0, |ms, stmt| ms + options.compute_ms(stmt.cost_cycles))
+        })
+        .collect();
+    let mut prefix = Vec::with_capacity(schedule.num_phases());
+    let mut phase_floor = Vec::with_capacity(schedule.num_phases());
+    for phase in 0..schedule.num_phases() {
+        let procs: Vec<Vec<f64>> = (0..schedule.num_procs())
+            .map(|proc| {
+                let iters = schedule.iters(phase, proc);
+                let mut pre = Vec::with_capacity(iters.len() + 1);
+                let mut acc = 0.0f64;
+                pre.push(acc);
+                for it in iters {
+                    acc += iter_ms[it.nest as usize];
+                    pre.push(acc);
+                }
+                pre
+            })
+            .collect();
+        phase_floor.push(
+            procs
+                .iter()
+                .map(|pre| pre[pre.len() - 1])
+                .fold(0.0f64, f64::max),
+        );
+        prefix.push(procs);
+    }
+    ComputePrefix {
+        prefix,
+        phase_floor,
+    }
+}
+
+/// Touch positions per disk, in schedule-walk order, one per iteration.
+fn disk_touches(
     program: &Program,
     layout: &LayoutMap,
     schedule: &Schedule,
     options: &TraceGenOptions,
-) -> HintModel {
+) -> Vec<Vec<SchedulePos>> {
     let striping = layout.striping();
-    let num_disks = striping.num_disks();
-    let nphases = schedule.num_phases();
-    let nprocs = schedule.num_procs();
     let bs = options.block_bytes.max(1);
-    let mut prefix: Vec<Vec<Vec<f64>>> = (0..nphases)
-        .map(|p| {
-            (0..nprocs)
-                .map(|q| Vec::with_capacity(schedule.iters(p, q).len() + 1))
-                .collect()
-        })
-        .collect();
-    let mut touches: Vec<Vec<SchedulePos>> = vec![Vec::new(); num_disks];
+    let compiled = CompiledProgram::new(program);
+    let mut touches: Vec<Vec<SchedulePos>> = vec![Vec::new(); striping.num_disks()];
     let mut cbuf = [0i64; dpm_core::CompactIter::MAX_DEPTH];
-    let mut ebuf: Vec<i64> = Vec::new();
     let mut pieces: Vec<(usize, u64, u64)> = Vec::new();
     schedule.for_each_scheduled(|phase, proc, idx, it| {
-        let pre = &mut prefix[phase][proc as usize];
-        if idx == 0 {
-            pre.push(0.0);
-        }
-        let nest = &program.nests[it.nest as usize];
         let coords = it.coords_into(&mut cbuf);
         let pos = SchedulePos::new(phase as u32, proc, idx as u32);
-        let mut iter_ms = 0.0f64;
-        let mut mask = 0u64;
-        for stmt in &nest.body {
+        for stmt in compiled.nest(it.nest as usize) {
             for re in &stmt.refs {
-                re.element_at_into(coords, &mut ebuf);
-                let off = layout.element_offset(program, re.array, &ebuf);
-                let eb = u64::from(program.arrays[re.array].elem_bytes);
-                for b in off / bs..=(off + eb - 1) / bs {
+                let off = re.offset(program, layout, coords);
+                for b in off / bs..=(off + re.elem_bytes - 1) / bs {
                     striping.split_range_into(b * bs, bs, &mut pieces);
                     for &(d, _, _) in &pieces {
-                        mask |= 1u64 << (d as u64 % 64);
+                        let list = &mut touches[d];
+                        if list.last() != Some(&pos) {
+                            list.push(pos);
+                        }
                     }
                 }
             }
-            iter_ms += (stmt.cost_cycles as f64) / options.cpu_hz * 1000.0;
-        }
-        let total = *pre.last().unwrap_or(&0.0) + iter_ms;
-        pre.push(total);
-        for (d, list) in touches.iter_mut().enumerate() {
-            if mask & (1u64 << (d as u64 % 64)) != 0 {
-                list.push(pos);
-            }
         }
     });
-    // Empty (phase, proc) slices never ran the closure: give them the
-    // zero prefix so lookups stay in bounds.
-    for phase in prefix.iter_mut() {
-        for pre in phase.iter_mut() {
-            if pre.is_empty() {
-                pre.push(0.0);
-            }
-        }
-    }
-    let phase_floor = prefix
-        .iter()
-        .map(|phase| {
-            phase
-                .iter()
-                .map(|pre| *pre.last().unwrap_or(&0.0))
-                .fold(0.0f64, f64::max)
-        })
-        .collect();
-    HintModel {
-        touches,
-        prefix,
-        phase_floor,
-    }
+    touches
 }
 
 /// `true` when access `a` is provably ordered before directive `s`.
@@ -137,7 +141,7 @@ fn provably_at_or_after(q: SchedulePos, a: SchedulePos) -> bool {
         || (q.phase == a.phase && (q.idx == 0 || (q.proc == a.proc && q.idx <= a.idx)))
 }
 
-impl HintModel {
+impl ComputePrefix {
     /// Provable compute-only time (ms) from issuing a directive at `q` to
     /// the arrival of access `a`; 0 when no ordering is provable.
     fn lead_ms(&self, q: SchedulePos, a: SchedulePos) -> f64 {
@@ -193,6 +197,10 @@ pub fn verify_hints(
     params: &DiskParams,
     table: &DirectiveTable,
 ) -> Vec<Diagnostic> {
+    // No directive, nothing to check: skip the model.
+    if table.is_empty() {
+        return Vec::new();
+    }
     let mut sink = DiagSink::new();
     let num_disks = layout.striping().num_disks();
 
@@ -234,7 +242,8 @@ pub fn verify_hints(
         }
     }
 
-    let model = build_model(program, layout, schedule, options);
+    let touches = disk_touches(program, layout, schedule, options);
+    let compute = compute_prefix(program, schedule, options);
 
     for disk in 0..num_disks as u32 {
         let seq: Vec<&Directive> = table.for_disk(disk).collect();
@@ -283,8 +292,7 @@ pub fn verify_hints(
             windows.push((s, None)); // trailing window: parked to end of run
         }
 
-        let accesses = model
-            .touches
+        let accesses = touches
             .get(disk as usize)
             .map(|v| v.as_slice())
             .unwrap_or(&[]);
@@ -325,7 +333,7 @@ pub fn verify_hints(
                 if provably_before(a, d.at) {
                     continue;
                 }
-                let lead = model.lead_ms(d.at, a);
+                let lead = compute.lead_ms(d.at, a);
                 if worst.map(|(_, w)| lead < w).unwrap_or(true) {
                     worst = Some((a, lead));
                 }
@@ -472,6 +480,23 @@ mod tests {
         u.push(dir(0, 0, 9, DirectiveKind::SpinDown)); // no disk 9
         assert!(codes(&p, &layout, &s, &t).contains(&"E_MALFORMED"));
         assert!(codes(&p, &layout, &s, &u).contains(&"E_MALFORMED"));
+    }
+
+    /// On a 65-disk volume the fixture touches disks 0 and 3 only, so
+    /// parking disk 64 for the whole run is as legal as parking disk 63.
+    #[test]
+    fn disks_past_63_are_checked_against_their_own_accesses() {
+        let (p, _, s) = fixture();
+        let layout = LayoutMap::new(&p, Striping::new(4096, 65, 0));
+        for disk in [63, 64] {
+            let mut t = DirectiveTable::new();
+            t.push(dir(0, 0, disk, DirectiveKind::SpinDown));
+            assert_eq!(
+                codes(&p, &layout, &s, &t),
+                Vec::<&str>::new(),
+                "disk {disk}"
+            );
+        }
     }
 
     #[test]

@@ -59,7 +59,7 @@ pub use diag::{
 };
 pub use energy::{disk_idle_windows, predict_energy, IdleWindow, PredictedDisk, PredictedReport};
 pub use footprint::{footprint_contains, static_volume_footprint};
-pub use hints::verify_hints;
+pub use hints::{compute_prefix, verify_hints, ComputePrefix};
 pub use lint::lint_program;
 pub use placement::{array_demands, static_access_counts, verify_placement};
 pub use report::{analyze_suite, SuiteReport};

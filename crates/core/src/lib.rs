@@ -53,9 +53,7 @@ pub use multi::{
     affinity_classes, disk_group_owner, distribution_dims, parallelize_baseline,
     parallelize_layout_aware, region_owner, Assignment,
 };
-pub use schedule::{
-    iteration_disk_mask, iteration_disk_mask_with, mean_disk_run_length, CompactIter, Schedule,
-};
+pub use schedule::{iteration_disk_mask, mean_disk_run_length, CompactIter, Schedule};
 pub use single::{
     cluster_iterations, original_schedule, restructure_single, restructure_single_reference,
 };

@@ -21,6 +21,7 @@ use crate::schedule::{CompactIter, Schedule};
 use crate::single::cluster_iterations;
 use dpm_ir::{outermost_parallel_loop, ArrayId, DependenceInfo, NestId, Program};
 use dpm_layout::LayoutMap;
+use dpm_trace::compile::CompiledProgram;
 
 /// Which parallelization strategy assigned iterations to processors.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -47,6 +48,7 @@ pub fn parallelize_baseline(
     sp.add("procs", u64::from(num_procs));
     sp.add("phases", program.nests.len() as u64);
     let mut schedule = Schedule::new(num_procs, program.nests.len());
+    let compiled = CompiledProgram::new(program);
     // Chunk computation is independent per nest; the schedule is assembled
     // serially in nest order afterwards, so the result is order-stable.
     let nests: Vec<NestId> = (0..program.nests.len()).collect();
@@ -59,6 +61,7 @@ pub fn parallelize_baseline(
         finish_phase(
             program,
             layout,
+            &compiled,
             deps,
             ni,
             chunks,
@@ -89,6 +92,7 @@ pub fn parallelize_layout_aware(
     sp.add("procs", u64::from(num_procs));
     sp.add("phases", program.nests.len() as u64);
     let mut schedule = Schedule::new(num_procs, program.nests.len());
+    let compiled = CompiledProgram::new(program);
     // Per-nest region/fallback decisions and chunk computation (the §6.2
     // per-processor footprints) are independent; compute them in parallel
     // and tag each nest with the branch taken so the span counters are
@@ -112,7 +116,7 @@ pub fn parallelize_layout_aware(
         } else {
             (
                 "region_phases",
-                region_chunks(program, layout, ni, num_procs),
+                region_chunks(program, layout, &compiled, ni, num_procs),
             )
         }
     });
@@ -121,6 +125,7 @@ pub fn parallelize_layout_aware(
         finish_phase(
             program,
             layout,
+            &compiled,
             deps,
             ni,
             chunks,
@@ -288,25 +293,20 @@ pub fn disk_group_owner(disk: usize, num_disks: usize, num_procs: u32) -> u32 {
 fn region_chunks(
     program: &Program,
     layout: &LayoutMap,
+    compiled: &CompiledProgram,
     ni: NestId,
     num_procs: u32,
 ) -> Vec<Vec<CompactIter>> {
-    let nest = &program.nests[ni];
     // Representative reference: the first write, else the first reference.
-    let rep = nest
-        .all_refs()
-        .find(|r| r.kind.is_write())
-        .or_else(|| nest.all_refs().next())
-        .cloned();
-    let Some(rep) = rep else {
+    let refs = || compiled.nest(ni).iter().flat_map(|stmt| &stmt.refs);
+    let Some(rep) = refs().find(|r| r.kind.is_write()).or_else(|| refs().next()) else {
         return serial_chunks(program, ni, num_procs);
     };
-    let num_disks = layout.striping().num_disks();
+    let striping = layout.striping();
+    let num_disks = striping.num_disks();
     let mut chunks = vec![Vec::new(); num_procs as usize];
-    let mut coords = Vec::new();
-    dpm_trace::walk_nest(nest, &mut |pt| {
-        rep.element_at_into(pt, &mut coords);
-        let disk = layout.disk_of_element(program, rep.array, &coords);
+    dpm_trace::walk_nest(&program.nests[ni], &mut |pt| {
+        let disk = striping.disk_of_offset(rep.offset(program, layout, pt));
         let owner = disk_group_owner(disk, num_disks, num_procs);
         chunks[owner as usize].push(CompactIter::new(ni, pt));
     });
@@ -321,6 +321,7 @@ fn region_chunks(
 fn finish_phase(
     program: &Program,
     layout: &LayoutMap,
+    compiled: &CompiledProgram,
     deps: &DependenceInfo,
     ni: NestId,
     mut chunks: Vec<Vec<CompactIter>>,
@@ -338,7 +339,7 @@ fn finish_phase(
             } else {
                 0
             };
-            cluster_iterations(program, layout, ni, chunk, serial, rotation);
+            cluster_iterations(program, layout, compiled, ni, chunk, serial, rotation);
         }
         for it in chunk.drain(..) {
             schedule.push(ni, proc as u32, it);

@@ -4,6 +4,7 @@
 
 use dpm_ir::{NestId, Program};
 use dpm_layout::LayoutMap;
+use dpm_trace::compile::CompiledProgram;
 use dpm_trace::ExecutionOrder;
 
 /// A compact scheduled iteration: nest id plus up to
@@ -229,32 +230,20 @@ impl dpm_trace::StreamOrder for Schedule {
 }
 
 /// The set of disks an iteration touches, as a bitmask (bit `d` set ⇔ the
-/// iteration accesses a byte on disk `d`). Supports up to 64 disks.
+/// iteration accesses a byte on disk `d`), evaluated through the IR.
+/// Supports up to 64 disks. The passes compute the same mask from a
+/// [`CompiledProgram`](dpm_trace::compile::CompiledProgram); this form is
+/// the reference the compiled one is tested against.
 pub fn iteration_disk_mask(
     program: &Program,
     layout: &LayoutMap,
     nest: NestId,
     iter: &[i64],
 ) -> u64 {
-    iteration_disk_mask_with(program, layout, nest, iter, &mut Vec::new())
-}
-
-/// Scratch-buffer form of [`iteration_disk_mask`] for the Q_d footprint
-/// hot loops: `coords` is reused across calls, making the whole mask
-/// computation allocation-free (subscript evaluation and disk projection
-/// both write into borrowed scratch).
-pub fn iteration_disk_mask_with(
-    program: &Program,
-    layout: &LayoutMap,
-    nest: NestId,
-    iter: &[i64],
-    coords: &mut Vec<i64>,
-) -> u64 {
     let mut mask = 0u64;
     for stmt in &program.nests[nest].body {
         for r in &stmt.refs {
-            r.element_at_into(iter, coords);
-            mask |= layout.disk_mask_of_element(program, r.array, coords);
+            mask |= layout.disk_mask_of_element(program, r.array, &r.element_at(iter));
         }
     }
     mask
@@ -265,22 +254,16 @@ pub fn iteration_disk_mask_with(
 /// iteration's *primary* disk. Longer runs = better clustering = longer
 /// idle periods on the other disks.
 pub fn mean_disk_run_length(program: &Program, layout: &LayoutMap, schedule: &Schedule) -> f64 {
+    let compiled = CompiledProgram::new(program);
     let mut runs = 0u64;
     let mut total = 0u64;
     let mut buf = [0i64; CompactIter::MAX_DEPTH];
-    let mut scratch = Vec::new();
     for phase in 0..schedule.num_phases() {
         for proc in 0..schedule.num_procs {
             let mut last_primary: Option<u32> = None;
             for it in schedule.iters(phase, proc) {
                 let coords = it.coords_into(&mut buf);
-                let mask = iteration_disk_mask_with(
-                    program,
-                    layout,
-                    it.nest as NestId,
-                    coords,
-                    &mut scratch,
-                );
+                let mask = compiled.disk_mask(program, layout, it.nest as NestId, coords);
                 if mask == 0 {
                     continue;
                 }

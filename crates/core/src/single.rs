@@ -11,9 +11,10 @@
 //! disk visited once — the perfect disk reuse of Figure 2(c).
 
 use crate::domain::DomainIndex;
-use crate::schedule::{iteration_disk_mask_with, CompactIter, Schedule};
+use crate::schedule::{CompactIter, Schedule};
 use dpm_ir::{CrossDep, DependenceInfo, NestId, Program};
 use dpm_layout::LayoutMap;
+use dpm_trace::compile::CompiledProgram;
 
 /// Per-nest bookkeeping for the scheduler.
 struct NestTable {
@@ -116,20 +117,12 @@ fn compute_masks(program: &Program, layout: &LayoutMap, tables: &[NestTable]) ->
     let mut qd = dpm_obs::span!("q_d_compute");
     qd.add("nests", tables.len() as u64);
     let _prof = dpm_prof::scope("qd_masks");
+    let compiled = CompiledProgram::new(program);
     let per_nest = dpm_exec::par_map_indexed(tables, |ni, t| {
         let mut buf = [0i64; CompactIter::MAX_DEPTH];
-        let mut scratch = Vec::new();
         t.iters
             .iter()
-            .map(|it| {
-                iteration_disk_mask_with(
-                    program,
-                    layout,
-                    ni,
-                    it.coords_into(&mut buf),
-                    &mut scratch,
-                )
-            })
+            .map(|it| compiled.disk_mask(program, layout, ni, it.coords_into(&mut buf)))
             .collect::<Vec<u64>>()
     });
     per_nest.into_iter().flatten().collect()
@@ -394,9 +387,12 @@ pub fn original_schedule(program: &Program) -> Schedule {
 /// versions): each processor's code is restructured *independently*, so
 /// different processors' disk sweeps have no reason to start on the same
 /// disk; rotating by processor reproduces that interleaving.
+///
+/// `compiled` is `program` compiled once by the calling pass.
 pub fn cluster_iterations(
     program: &Program,
     layout: &LayoutMap,
+    compiled: &CompiledProgram,
     nest: NestId,
     iters: &mut Vec<CompactIter>,
     serial: bool,
@@ -408,12 +404,11 @@ pub fn cluster_iterations(
     let num_disks = layout.striping().num_disks() as u32;
     let rot = rotation as u32 % num_disks.max(1);
     let mut buf = [0i64; CompactIter::MAX_DEPTH];
-    let mut scratch = Vec::new();
     let mut keyed: Vec<(u32, CompactIter)> = iters
         .iter()
         .map(|it| {
             let coords = it.coords_into(&mut buf);
-            let mask = iteration_disk_mask_with(program, layout, nest, coords, &mut scratch);
+            let mask = compiled.disk_mask(program, layout, nest, coords);
             let primary = if mask == 0 { 0 } else { mask.trailing_zeros() };
             ((primary + num_disks - rot) % num_disks, *it)
         })
@@ -745,7 +740,15 @@ mod tests {
         dpm_trace::walk_nest(&p.nests[0], &mut |pt| iters.push(CompactIter::new(0, pt)));
         // Shuffle deterministically by reversing.
         iters.reverse();
-        cluster_iterations(&p, &layout, 0, &mut iters, false, 0);
+        cluster_iterations(
+            &p,
+            &layout,
+            &CompiledProgram::new(&p),
+            0,
+            &mut iters,
+            false,
+            0,
+        );
         let mut buf = [0i64; CompactIter::MAX_DEPTH];
         let mut last = 0;
         for it in &iters {

@@ -235,8 +235,23 @@ impl LayoutMap {
     /// Panics if a touched disk id is ≥ 64.
     pub fn disk_mask_of_element(&self, program: &Program, array: ArrayId, coords: &[i64]) -> u64 {
         let decl = &program.arrays[array];
-        let start = self.element_offset(program, array, coords);
-        let end = start + u64::from(decl.elem_bytes) - 1;
+        self.disk_mask_of_bytes(
+            self.element_offset(program, array, coords),
+            u64::from(decl.elem_bytes),
+        )
+    }
+
+    /// Bitmask of the disks holding part of the volume bytes
+    /// `[start, start + len)` for a positive `len`: the mask
+    /// [`disk_mask_of_element`](Self::disk_mask_of_element) computes for an
+    /// element of `len` bytes at `start`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a touched disk id is ≥ 64.
+    #[inline]
+    pub fn disk_mask_of_bytes(&self, start: u64, len: u64) -> u64 {
+        let end = start + len - 1;
         let first = self.striping.stripe_of_offset(start);
         let last = self.striping.stripe_of_offset(end);
         let mut mask = 0u64;

@@ -1,14 +1,17 @@
-//! Array references compiled once per generator.
+//! Array references compiled once per pass.
 //!
-//! Every element access of a trace evaluates one reference's subscripts at
-//! one iteration point and maps the element to a volume byte offset. The
-//! IR keeps subscripts as [`LinExpr`](dpm_poly::LinExpr)s evaluated in
-//! `i128` into a coordinate buffer, then linearized and searched for in the
-//! layout's segments; doing that per access cost more than everything else
-//! the generator does. [`CompiledProgram`] flattens each reference once:
-//! per array dimension a constant, an extent, and the non-zero
-//! coefficients with their loop variables. An access is then a few checked
-//! `i64` multiply-adds and one [`LayoutMap::linear_offset`] lookup.
+//! Every static pass that maps an array reference at an iteration point to
+//! volume bytes goes through [`CompiledProgram`]: the trace generator, the
+//! energy oracle and hint verifier in dpm-analyze, and dpm-core's disk
+//! masks. The IR keeps subscripts as [`LinExpr`](dpm_poly::LinExpr)s
+//! evaluated in `i128` into a coordinate buffer, then linearized and
+//! searched for in the layout's segments; doing that per access cost more
+//! than everything else those passes do. [`CompiledProgram`] flattens each
+//! reference once: per array dimension a constant, an extent, and the
+//! non-zero coefficients with their loop variables. An access is then a
+//! few checked `i64` multiply-adds and one [`LayoutMap::linear_offset`]
+//! lookup. A pass compiles the program once and keeps the result for the
+//! whole walk.
 //!
 //! The compiled form keeps the IR's failure modes: subscript overflow
 //! panics with the same message as `LinExpr::eval`, and an out-of-bounds
@@ -31,10 +34,12 @@ struct Dim {
 
 /// One array reference in flat affine form.
 #[derive(Debug)]
-pub(crate) struct CompiledRef {
-    pub(crate) array: ArrayId,
-    pub(crate) kind: RequestKind,
-    pub(crate) elem_bytes: u64,
+pub struct CompiledRef {
+    array: ArrayId,
+    /// Whether the reference reads or writes.
+    pub kind: RequestKind,
+    /// Bytes per element of the array.
+    pub elem_bytes: u64,
     /// Number of loop variables the subscripts range over. A reference
     /// whose subscripts disagree with each other or with the array's rank
     /// gets `usize::MAX`, so its first evaluation takes the panic path.
@@ -126,14 +131,32 @@ impl CompiledRef {
         lin
     }
 
-    /// Volume byte offset of the element touched at `iter`.
+    /// Volume byte offset of the element touched at `iter` —
+    /// `layout.element_offset(program, r.array, &r.element_at(iter))`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an iteration of the wrong arity, on subscript overflow,
+    /// and on an out-of-bounds coordinate (naming the array).
     #[inline]
-    pub(crate) fn offset(&self, program: &Program, layout: &LayoutMap, iter: &[i64]) -> u64 {
+    pub fn offset(&self, program: &Program, layout: &LayoutMap, iter: &[i64]) -> u64 {
         layout.linear_offset(
             self.array,
             self.linear_index(program, iter),
             self.elem_bytes,
         )
+    }
+
+    /// The disks holding part of the element touched at `iter`, as a
+    /// bitmask — `layout.disk_mask_of_element(program, r.array,
+    /// &r.element_at(iter))`.
+    ///
+    /// # Panics
+    ///
+    /// As [`offset`](Self::offset), and if a touched disk id is ≥ 64.
+    #[inline]
+    pub fn disk_mask(&self, program: &Program, layout: &LayoutMap, iter: &[i64]) -> u64 {
+        layout.disk_mask_of_bytes(self.offset(program, layout, iter), self.elem_bytes)
     }
 
     #[cold]
@@ -159,22 +182,24 @@ fn out_of_bounds(c: i64, extent: u64, array: &str) -> ! {
 }
 
 /// One statement: its compiled references in body order, and its compute
-/// time in milliseconds.
+/// cost.
 #[derive(Debug)]
-pub(crate) struct CompiledStmt {
-    pub(crate) refs: Vec<CompiledRef>,
-    pub(crate) cycles_ms: f64,
+pub struct CompiledStmt {
+    /// The statement's references, in body order.
+    pub refs: Vec<CompiledRef>,
+    /// Compute cycles of one execution.
+    pub cost_cycles: u64,
 }
 
 /// Every statement of every nest, compiled.
 #[derive(Debug)]
-pub(crate) struct CompiledProgram {
+pub struct CompiledProgram {
     nests: Vec<Vec<CompiledStmt>>,
 }
 
 impl CompiledProgram {
-    /// Compiles `program` for a processor clocked at `cpu_hz`.
-    pub(crate) fn new(program: &Program, cpu_hz: f64) -> CompiledProgram {
+    /// Compiles every array reference of `program`.
+    pub fn new(program: &Program) -> CompiledProgram {
         CompiledProgram {
             nests: program
                 .nests
@@ -188,7 +213,7 @@ impl CompiledProgram {
                                 .iter()
                                 .map(|r| CompiledRef::new(program, r))
                                 .collect(),
-                            cycles_ms: (stmt.cost_cycles as f64) / cpu_hz * 1000.0,
+                            cost_cycles: stmt.cost_cycles,
                         })
                         .collect()
                 })
@@ -202,8 +227,29 @@ impl CompiledProgram {
     ///
     /// Panics if `nest` is out of range.
     #[inline]
-    pub(crate) fn nest(&self, nest: NestId) -> &[CompiledStmt] {
+    pub fn nest(&self, nest: NestId) -> &[CompiledStmt] {
         &self.nests[nest]
+    }
+
+    /// The disks iteration `iter` of `nest` touches, as a bitmask (bit `d`
+    /// set ⇔ some reference accesses a byte on disk `d`) — dpm-core's
+    /// `iteration_disk_mask`.
+    ///
+    /// # Panics
+    ///
+    /// As [`CompiledRef::disk_mask`].
+    #[inline]
+    pub fn disk_mask(
+        &self,
+        program: &Program,
+        layout: &LayoutMap,
+        nest: NestId,
+        iter: &[i64],
+    ) -> u64 {
+        self.nest(nest)
+            .iter()
+            .flat_map(|stmt| &stmt.refs)
+            .fold(0, |mask, r| mask | r.disk_mask(program, layout, iter))
     }
 }
 
@@ -213,9 +259,10 @@ mod tests {
     use dpm_layout::{FileMapping, Striping};
 
     /// Checks every reference of every iteration of `program` against the
-    /// IR's own evaluation under `layout`.
+    /// IR's own evaluation under `layout`, and every iteration's compiled
+    /// disk mask against dpm-core's `iteration_disk_mask`.
     fn assert_offsets_match(program: &Program, layout: &LayoutMap) -> u64 {
-        let compiled = CompiledProgram::new(program, 750.0e6);
+        let compiled = CompiledProgram::new(program);
         let mut checked = 0;
         for (ni, nest) in program.nests.iter().enumerate() {
             let stmts = compiled.nest(ni);
@@ -227,6 +274,11 @@ mod tests {
                         checked += 1;
                     }
                 }
+                assert_eq!(
+                    compiled.disk_mask(program, layout, ni, it),
+                    dpm_core::iteration_disk_mask(program, layout, ni, it),
+                    "nest {ni} at {it:?}"
+                );
             });
         }
         checked
@@ -279,7 +331,7 @@ mod tests {
              nest L { for i = 0 .. 7 { A[4 * i] = 1; } }",
         )
         .unwrap();
-        let compiled = CompiledProgram::new(&program, 750.0e6);
+        let compiled = CompiledProgram::new(&program);
         compiled.nest(0)[0].refs[0].linear_index(&program, &[i64::MAX / 2]);
     }
 }

@@ -44,7 +44,7 @@ use dpm_obs::XorShift64Star;
 use window::{ReuseWindow, StreamDetector};
 
 mod codec;
-mod compile;
+pub mod compile;
 mod stream;
 mod window;
 
@@ -77,6 +77,15 @@ pub struct TraceGenOptions {
     /// fully deterministic; non-zero jitter uses a fixed seed, so traces
     /// remain reproducible.
     pub arrival_jitter_ms: f64,
+}
+
+impl TraceGenOptions {
+    /// Compute time of `cycles` processor cycles at [`cpu_hz`](Self::cpu_hz),
+    /// ms.
+    #[inline]
+    pub fn compute_ms(&self, cycles: u64) -> f64 {
+        (cycles as f64) / self.cpu_hz * 1000.0
+    }
 }
 
 impl Default for TraceGenOptions {
@@ -317,6 +326,8 @@ pub struct TraceGenerator<'p> {
     layout: &'p LayoutMap,
     options: TraceGenOptions,
     compiled: CompiledProgram,
+    /// Compute time of each statement, ms: `stmt_ms[nest][stmt]`.
+    stmt_ms: Vec<Vec<f64>>,
     /// The disks' service-time model at full speed, for the nominal
     /// blocking estimate.
     service: ServiceTime,
@@ -326,11 +337,22 @@ impl<'p> TraceGenerator<'p> {
     /// Creates a generator, compiling every array reference of `program`.
     pub fn new(program: &'p Program, layout: &'p LayoutMap, options: TraceGenOptions) -> Self {
         let params = DiskParams::default();
+        let compiled = CompiledProgram::new(program);
+        let stmt_ms = (0..program.nests.len())
+            .map(|nest| {
+                compiled
+                    .nest(nest)
+                    .iter()
+                    .map(|stmt| options.compute_ms(stmt.cost_cycles))
+                    .collect()
+            })
+            .collect();
         TraceGenerator {
             program,
             layout,
             options,
-            compiled: CompiledProgram::new(program, options.cpu_hz),
+            compiled,
+            stmt_ms,
             service: params.service_at(params.max_rpm),
         }
     }
@@ -451,14 +473,14 @@ impl<'p> TraceGenerator<'p> {
         st: &mut ProcState,
         stats: &mut TraceStats,
     ) {
-        for stmt in self.compiled.nest(nest) {
+        for (stmt, &ms) in self.compiled.nest(nest).iter().zip(&self.stmt_ms[nest]) {
             for r in &stmt.refs {
                 stats.element_accesses += 1;
                 let offset = r.offset(self.program, self.layout, iter);
                 self.access(proc, offset, r.elem_bytes, r.kind, contention, st, stats);
             }
-            stats.compute_ms += stmt.cycles_ms;
-            st.clock_ms += stmt.cycles_ms;
+            stats.compute_ms += ms;
+            st.clock_ms += ms;
         }
     }
 

@@ -173,7 +173,10 @@ pub fn insert_power_hints(
 ) -> Result<DirectiveTable, Vec<Diagnostic>> {
     let min_idle_ms = DirectiveConfig::for_params(params).min_idle_ms;
     let windows = dpm_analyze::disk_idle_windows(program, layout, schedule, options, min_idle_ms);
-    let (prefix, floors) = compute_model(program, schedule, options);
+    let dpm_analyze::ComputePrefix {
+        prefix,
+        phase_floor: floors,
+    } = dpm_analyze::compute_prefix(program, schedule, options);
     let single = schedule.num_procs() == 1;
     let mut table = DirectiveTable::new();
     for w in &windows {
@@ -213,45 +216,6 @@ pub fn insert_power_hints(
     } else {
         Err(diags)
     }
-}
-
-/// Per-(phase, proc) compute prefix sums (ms) and per-phase floors (the
-/// slowest processor's compute) — the same model `verify_hints` uses, so
-/// the insertion pass and the verifier agree on every lead time.
-fn compute_model(
-    program: &Program,
-    schedule: &Schedule,
-    options: &TraceGenOptions,
-) -> (Vec<Vec<Vec<f64>>>, Vec<f64>) {
-    let per_iter: Vec<f64> = program
-        .nests
-        .iter()
-        .map(|n| {
-            let cycles: u64 = n.body.iter().map(|s| s.cost_cycles).sum();
-            (cycles as f64) / options.cpu_hz * 1000.0
-        })
-        .collect();
-    let mut prefix = Vec::with_capacity(schedule.num_phases());
-    let mut floors = Vec::with_capacity(schedule.num_phases());
-    for ph in 0..schedule.num_phases() {
-        let mut phase = Vec::with_capacity(schedule.num_procs() as usize);
-        let mut floor = 0.0f64;
-        for proc in 0..schedule.num_procs() {
-            let iters = schedule.iters(ph, proc);
-            let mut pre = Vec::with_capacity(iters.len() + 1);
-            let mut acc = 0.0f64;
-            pre.push(0.0);
-            for it in iters {
-                acc += per_iter[it.nest as usize];
-                pre.push(acc);
-            }
-            floor = floor.max(acc);
-            phase.push(pre);
-        }
-        prefix.push(phase);
-        floors.push(floor);
-    }
-    (prefix, floors)
 }
 
 /// Latest single-processor position strictly after `open` whose
@@ -672,6 +636,45 @@ mod tests {
         let none = Simulator::new(params, PowerPolicy::None, striping).run(&trace);
         assert!(directive.total_spin_downs() >= 1);
         assert!(directive.total_energy_j() < none.total_energy_j());
+    }
+
+    /// The windowed fixture with each body split into two statements of
+    /// 15000000 and 15000007 cycles. At 750 MHz, summing the cycles before
+    /// converting and converting each statement before summing differ in
+    /// the last bit; the inserter and the verifier share one conversion,
+    /// so the table the inserter builds verifies clean.
+    #[test]
+    fn hint_insertion_verifies_with_multi_statement_bodies() {
+        let p = parse_program(
+            "program t;
+             array A[2048] : f64;
+             nest L1 { for i = 0 .. 511 {
+                 A[i] = A[i] + 1 @ 15000000;
+                 A[i] = A[i] + 2 @ 15000007;
+             } }
+             nest L2 { for i = 1536 .. 2047 {
+                 A[i] = A[i] + 1 @ 15000000;
+                 A[i] = A[i] + 2 @ 15000007;
+             } }",
+        )
+        .unwrap();
+        let options = TraceGenOptions::default();
+        assert_ne!(
+            options.compute_ms(15_000_000 + 15_000_007),
+            options.compute_ms(15_000_000) + options.compute_ms(15_000_007),
+            "the fixture must tell the two conversions apart"
+        );
+        let layout = LayoutMap::new(&p, Striping::new(4096, 2, 0));
+        let schedule = original_schedule(&p);
+        let params = DiskParams::default();
+        let table = insert_power_hints(&p, &layout, &schedule, &options, &params)
+            .expect("inserted hints must verify");
+        assert!(
+            table.count(DirectiveKind::PreActivate) >= 1,
+            "{:?}",
+            table.entries()
+        );
+        assert!(verify_hints(&p, &layout, &schedule, &options, &params, &table).is_empty());
     }
 
     /// Short compute bursts leave no gap past break-even: the pass
