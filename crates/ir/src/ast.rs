@@ -239,23 +239,7 @@ impl ArrayRef {
     /// Panics if the iteration point's arity differs from the subscript
     /// space.
     pub fn element_at(&self, iter: &[i64]) -> Vec<i64> {
-        let mut out = Vec::with_capacity(self.indices.len());
-        self.element_at_into(iter, &mut out);
-        out
-    }
-
-    /// Scratch-buffer form of [`element_at`](Self::element_at): evaluates
-    /// the subscripts into `out` (cleared first). Footprint hot loops call
-    /// this once per array reference per iteration; reusing the buffer
-    /// keeps them allocation-free.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the iteration point's arity differs from the subscript
-    /// space.
-    pub fn element_at_into(&self, iter: &[i64], out: &mut Vec<i64>) {
-        out.clear();
-        out.extend(self.indices.iter().map(|e| e.eval(iter)));
+        self.indices.iter().map(|e| e.eval(iter)).collect()
     }
 
     /// `true` if every subscript has the form `±var + const` with all
