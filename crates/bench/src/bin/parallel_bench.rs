@@ -12,7 +12,7 @@
 //!    the call tree to `results/PROF_<scale>.json` plus
 //!    flamegraph-collapsed stacks to `results/PROF_<scale>.txt`.
 //!
-//! Plus three microbenches of the execution layer itself:
+//! Plus two microbenches of the execution layer itself:
 //!
 //! * **Skew** — synthetic cells whose heavy items are clustered into
 //!   participant 0's block — the shape a static even split serializes on
@@ -21,10 +21,6 @@
 //! * **Map dispatch** (`map_dispatch_ns`) — the median cost of a 2-item
 //!   map at width 2: what one parallel map pays to spawn and join its
 //!   scoped helper.
-//! * **Sharded stream** (`stream_sharded_ms` vs `stream_serial_ms`) — one
-//!   Small-scale `Simulator::run_stream` pass sharded per disk at 2
-//!   threads against the serial pass; the two reports must match
-//!   bit-for-bit.
 //!
 //! The speedup gate is honest about the host: when fewer than 4 cores are
 //! available the check is recorded as *skipped* with the measured values
@@ -42,11 +38,9 @@ use dpm_bench::microbench::bench;
 use dpm_bench::{
     run_matrix, AppResults, BenchRecord, ExperimentConfig, GateStatus, MatrixCell, Version,
 };
-use dpm_disksim::{PowerPolicy, SimReport, Simulator, TpmConfig};
-use dpm_layout::{LayoutMap, Striping};
+use dpm_layout::Striping;
 use dpm_obs::Json;
 use dpm_poly::{Constraint, LinExpr, Polyhedron, Set};
-use dpm_trace::{OriginalOrder, TraceGenerator};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -196,48 +190,6 @@ fn map_dispatch_microbench() -> f64 {
     .ns_per_iter
 }
 
-/// One Small-scale `run_stream` pass (AST in program order, TPM) sharded
-/// at 2 threads against the serial pass. Each side runs five times,
-/// alternating; the medians are reported with the reports' bit-identity.
-fn stream_shard_microbench() -> AbResult {
-    let config = ExperimentConfig::default();
-    let app = dpm_apps::by_name("AST", Scale::Small).expect("AST is in the suite");
-    let program = app.program();
-    let layout = LayoutMap::new(&program, config.striping);
-    let gen = TraceGenerator::new(&program, &layout, config.trace).with_disk_params(config.disk);
-    let (trace, _) = gen.generate(&OriginalOrder::new(&program));
-    let sim = Simulator::new(
-        config.disk,
-        PowerPolicy::Tpm(TpmConfig::default()),
-        config.striping,
-    );
-    let run = |threads: usize| -> (f64, SimReport) {
-        let sim = sim.clone().with_exec_threads(threads);
-        let t = Instant::now();
-        let report = sim.run(&trace);
-        (t.elapsed().as_secs_f64() * 1e3, report)
-    };
-    let bits = |r: &SimReport| (r.makespan_ms.to_bits(), r.total_energy_j().to_bits());
-    let (mut serial, mut sharded) = (Vec::new(), Vec::new());
-    let mut identical = true;
-    for _ in 0..5 {
-        let (serial_ms, a) = run(1);
-        let (sharded_ms, b) = run(2);
-        identical &= bits(&a) == bits(&b) && a.per_disk == b.per_disk;
-        serial.push(serial_ms);
-        sharded.push(sharded_ms);
-    }
-    let median = |mut v: Vec<f64>| {
-        v.sort_by(f64::total_cmp);
-        v[v.len() / 2]
-    };
-    AbResult {
-        serial_ms: median(serial),
-        parallel_ms: median(sharded),
-        identical,
-    }
-}
-
 /// Request splitting in the simulator's inner loop: fresh allocation per
 /// request vs the reusable scratch buffer.
 fn split_microbench() -> (f64, f64) {
@@ -303,28 +255,19 @@ fn main() {
         skew.serial_ms, skew.parallel_ms
     );
     let map_dispatch_ns = map_dispatch_microbench();
-    let stream = stream_shard_microbench();
-    println!(
-        "  Small run_stream: serial {:.1} ms, sharded x2 {:.1} ms  ({:.2}x)",
-        stream.serial_ms,
-        stream.parallel_ms,
-        stream.serial_ms / stream.parallel_ms
-    );
 
     let reference = canonical(&serial);
-    if reference == canonical(&parallel) && skew.identical && stream.identical {
+    if reference == canonical(&parallel) && skew.identical {
         println!("  outputs identical: yes");
         record.gate(
             "outputs_identical",
             GateStatus::Pass,
-            "matrix, skew-microbench and sharded run_stream outputs bit-identical to serial",
+            "matrix and skew-microbench outputs bit-identical to serial",
         );
     } else {
         eprintln!("parallel_bench: FAIL — parallel output diverged from serial");
         if !skew.identical {
             eprintln!("(skew microbench outputs diverged)");
-        } else if !stream.identical {
-            eprintln!("(sharded run_stream report diverged)");
         } else {
             eprintln!("--- serial ---\n{reference}");
             eprintln!("--- parallel ---\n{}", canonical(&parallel));
@@ -448,8 +391,6 @@ fn main() {
     record.metric("skew_parallel_ms", skew.parallel_ms);
     record.metric("skew_speedup_x", skew_speedup);
     record.metric("map_dispatch_ns", map_dispatch_ns);
-    record.metric("stream_serial_ms", stream.serial_ms);
-    record.metric("stream_sharded_ms", stream.parallel_ms);
     record.metric("prof_coverage", coverage.min(1.0));
     record.metric("poly_subtract_chain_borrowed_ns", poly_borrowed_ns);
     record.metric("poly_subtract_chain_owned_ns", poly_owned_ns);

@@ -95,7 +95,8 @@ fn fault_plan_runs_identical() {
     for app in dpm_apps::suite(Scale::Tiny).into_iter().take(3) {
         assert_identical(&app, &Version::single_cpu(), 1, &config, 8);
     }
-    // And a faulty multi-proc run through the sharded streaming path.
+    // And a faulty multi-proc run through the streamed generator's
+    // multi-lane merge.
     let app = dpm_apps::by_name("AST", Scale::Tiny).unwrap();
     assert_identical(&app, &Version::multi_cpu(), 4, &config, 8);
 }

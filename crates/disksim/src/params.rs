@@ -465,7 +465,7 @@ pub struct MigrationConfig {
     /// window boundaries only.
     pub window_requests: u64,
     /// Seed of the policy's tie-breaking/hysteresis stream. Same seed ⇒
-    /// same promote/demote sequence, at any thread count.
+    /// same promote/demote sequence on every run.
     pub seed: u64,
     /// At most this many moves (promotions or demotions) per boundary.
     pub max_moves_per_window: u32,

@@ -3,7 +3,7 @@
 //! stream through its [`DiskSim`], and aggregates energy and I/O-time
 //! statistics.
 
-use crate::disk::{DiskSim, ServiceOutcome, SubRequest};
+use crate::disk::{DiskSim, SubRequest};
 use crate::params::{DiskParams, MigrationConfig, PowerPolicy, RaidConfig, TierConfig};
 use crate::request::Trace;
 use crate::stats::{MigrationEvent, SimReport, TierReport, TierStats};
@@ -11,13 +11,6 @@ use crate::stream::{RequestStream, TraceAccounting, TraceStream};
 use dpm_faults::FaultPlan;
 use dpm_layout::{MigrationMove, Striping, TieredVolume};
 use dpm_obs::XorShift64Star;
-use std::collections::VecDeque;
-
-/// Application requests per streaming window: the bounded unit of work the
-/// sharded pass hands to each disk worker, and the only request-shaped
-/// memory the event loop ever holds. Resident memory is O(disks × window)
-/// regardless of stream length.
-const STREAM_WINDOW: usize = 1024;
 
 /// A configured simulator: disk parameters + power policy + striping.
 ///
@@ -47,7 +40,6 @@ pub struct Simulator {
     striping: Striping,
     raid: RaidConfig,
     timelines: bool,
-    threads: Option<usize>,
     faults: FaultPlan,
     tiers: Option<TierSetup>,
 }
@@ -72,7 +64,6 @@ impl Simulator {
             striping,
             raid: RaidConfig::single(),
             timelines: false,
-            threads: None,
             faults: FaultPlan::zero(),
             tiers: None,
         }
@@ -106,8 +97,8 @@ impl Simulator {
     /// Arms the online hot/cold migration policy (windowed per-array
     /// access counters, seeded-deterministic promote/demote at window
     /// boundaries, moved bytes charged to the energy model as real disk
-    /// traffic). Decisions are taken in the split stage, so the sequence
-    /// is identical at any thread count.
+    /// traffic). Decisions are taken after each application request, so
+    /// the sequence is a pure function of the trace and the seed.
     ///
     /// # Panics
     ///
@@ -148,8 +139,8 @@ impl Simulator {
     /// Arms a deterministic fault plan. The zero plan (the default) takes
     /// the fault-free fast path and is bit-identical to a simulator that
     /// never heard of faults; any other plan derives one independent
-    /// decision stream per disk from `plan.seed`, so reports are
-    /// reproducible at any thread count.
+    /// decision stream per disk from `plan.seed`, so the same plan
+    /// reproduces the same report on every run.
     #[must_use]
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.faults = plan;
@@ -168,17 +159,6 @@ impl Simulator {
         self
     }
 
-    /// Overrides the worker-thread count for [`run`](Self::run). The default
-    /// (`None`) follows `DPM_THREADS` / the machine's core count; `1` forces
-    /// the serial reference path. Either way the report is bit-identical:
-    /// each disk's sub-request stream is serviced in the same order, and the
-    /// per-request join replays the serial accumulation order.
-    #[must_use]
-    pub fn with_exec_threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads);
-        self
-    }
-
     /// Backs each I/O node with a RAID set (§2's second striping level).
     #[must_use]
     pub fn with_raid(mut self, raid: RaidConfig) -> Self {
@@ -194,21 +174,6 @@ impl Simulator {
     /// The power policy in effect.
     pub fn policy(&self) -> PowerPolicy {
         self.policy
-    }
-
-    /// Splits one application request into its per-disk contiguous pieces
-    /// `(disk, local_byte, len)`. Consecutive stripes on the same disk are
-    /// merged into one piece (they are adjacent in the disk's local address
-    /// space).
-    pub fn split_request(&self, offset: u64, len: u64) -> Vec<(usize, u64, u64)> {
-        self.striping.split_range(offset, len)
-    }
-
-    /// Scratch-buffer variant of [`split_request`](Self::split_request):
-    /// clears `out` and fills it with the pieces. The simulation hot loops
-    /// use this to avoid one `Vec` allocation per application request.
-    pub fn split_request_into(&self, offset: u64, len: u64, out: &mut Vec<(usize, u64, u64)>) {
-        self.striping.split_range_into(offset, len, out);
     }
 
     fn make_disks(&self, obs_run: u64) -> Vec<DiskSim> {
@@ -303,18 +268,10 @@ impl Simulator {
     }
 
     /// Runs the simulation over any [`RequestStream`], pulling one request
-    /// at a time: resident memory is O(disks + window) no matter how long
-    /// the stream is.
-    ///
-    /// Dispatches to a per-disk sharded pass over one worker thread per
-    /// disk (see [`dpm_exec::shard_scope`]) when more than one worker
-    /// thread is in effect (see [`with_exec_threads`](Self::with_exec_threads)
-    /// and `DPM_THREADS`) and the volume has more than one disk — but only
-    /// after probing the stream for a full window of requests: a run that
-    /// ends inside its first window cannot amortize the worker spawns, so
-    /// it takes the serial reference pass no matter the thread count. Both
-    /// passes produce bit-identical reports, so the adaptive choice is
-    /// invisible in the output.
+    /// at a time: resident memory is O(disks) no matter how long the
+    /// stream is. The loop is serial: each disk's energy depends only on
+    /// its own sub-request stream, but a per-disk worker pass never
+    /// measured faster than this loop (DESIGN §14).
     ///
     /// # Panics
     ///
@@ -324,27 +281,7 @@ impl Simulator {
         let _prof = dpm_prof::scope("simulate");
         let mut sp = dpm_obs::span!("simulate");
         sp.add("run", obs_run);
-        let threads =
-            dpm_exec::effective_threads(self.threads.unwrap_or_else(dpm_exec::num_threads));
-        let (report, accounting) = if threads > 1 && self.num_disks() > 1 {
-            let mut prefix = Vec::with_capacity(STREAM_WINDOW);
-            while prefix.len() < STREAM_WINDOW {
-                match stream.next_request() {
-                    Some(r) => prefix.push(r),
-                    None => break,
-                }
-            }
-            let small = prefix.len() < STREAM_WINDOW;
-            let mut probed = crate::stream::Prefetched::new(prefix, stream);
-            if small {
-                self.run_stream_serial(&mut probed, obs_run)
-            } else {
-                sp.add("workers", self.num_disks() as u64);
-                self.run_stream_sharded(&mut probed, obs_run)
-            }
-        } else {
-            self.run_stream_serial(stream, obs_run)
-        };
+        let (report, accounting) = self.event_loop(stream, obs_run);
         sp.add("app_requests", report.app_requests);
         sp.add(
             "sub_requests",
@@ -374,9 +311,9 @@ impl Simulator {
         report
     }
 
-    /// The serial reference pass: services every sub-request inline, in
-    /// request order, pieces in `(disk, local_byte)` order within a request.
-    fn run_stream_serial(
+    /// Services every sub-request inline, in request order, pieces in
+    /// `(disk, local_byte)` order within a request.
+    fn event_loop(
         &self,
         stream: &mut dyn RequestStream,
         obs_run: u64,
@@ -398,7 +335,7 @@ impl Simulator {
             let mut device_ms = 0.0_f64;
             match &router {
                 Some(rt) => rt.volume.split_range_into(r.offset, r.len, &mut pieces),
-                None => self.split_request_into(r.offset, r.len, &mut pieces),
+                None => self.striping.split_range_into(r.offset, r.len, &mut pieces),
             }
             accounting.push(&r, &pieces);
             for &(disk, local_byte, len) in &pieces {
@@ -429,159 +366,12 @@ impl Simulator {
             accounting,
         )
     }
-
-    /// The sharded streaming pass: a windowed pipeline over per-disk
-    /// worker threads.
-    ///
-    /// The feeder pulls up to [`STREAM_WINDOW`] requests, splits each into
-    /// per-disk sub-request batches (recording each request's piece disks
-    /// in split order), and pushes one batch per disk into that disk's
-    /// shard queue. While the workers service window *k*, the feeder joins
-    /// window *k−1* — replaying its requests in arrival order and folding
-    /// each request's piece outcomes with the same `max`/`+=` order as the
-    /// serial pass — and splits window *k+1*. At most two windows are ever
-    /// in flight, so memory is O(disks × window).
-    ///
-    /// Determinism: each disk is serviced by exactly one worker, and a
-    /// disk's sub-request order (batch order × order within batch) equals
-    /// the serial pass's order, so per-disk outcomes — fault decisions
-    /// included, they are a function of the disk's own decision sequence —
-    /// and the joined aggregates are bit-identical to the serial pass.
-    fn run_stream_sharded(
-        &self,
-        stream: &mut dyn RequestStream,
-        obs_run: u64,
-    ) -> (SimReport, TraceAccounting) {
-        let n = self.num_disks();
-        let mut accounting = TraceAccounting::new(n);
-        let mut acc = Accum::default();
-        let mut router = self.make_router();
-
-        // One window awaiting join while the next is in service: capacity
-        // two batches per queue gives the pipeline its single overlap slot
-        // without unbounded buffering.
-        let (mut disks, ()) = dpm_exec::shard_scope(
-            self.make_disks(obs_run),
-            2,
-            |_disk_id, disk: &mut DiskSim, batch: Vec<SubRequest>| {
-                let _prof = dpm_prof::scope("sim_event_loop");
-                batch
-                    .iter()
-                    .map(|sub| disk.service(sub))
-                    .collect::<Vec<ServiceOutcome>>()
-            },
-            |feeder| {
-                let _prof = dpm_prof::scope("sim_split");
-                let mut prev_arrival = f64::NEG_INFINITY;
-                let mut pieces: Vec<(usize, u64, u64)> = Vec::new();
-                let mut batches: Vec<Vec<SubRequest>> = vec![Vec::new(); n];
-                // The window being assembled: per request its arrival and
-                // piece count, plus the flat piece→disk list in split
-                // order (the serial fold order).
-                let mut window = WindowMeta::default();
-                let mut in_flight: VecDeque<WindowMeta> = VecDeque::new();
-                let mut exhausted = false;
-                while !exhausted || !in_flight.is_empty() || !window.arrivals.is_empty() {
-                    // Assemble one window.
-                    while !exhausted && window.arrivals.len() < STREAM_WINDOW {
-                        let Some(r) = stream.next_request() else {
-                            exhausted = true;
-                            break;
-                        };
-                        assert!(
-                            r.arrival_ms >= prev_arrival,
-                            "trace must be sorted by arrival time"
-                        );
-                        prev_arrival = r.arrival_ms;
-                        match &router {
-                            Some(rt) => rt.volume.split_range_into(r.offset, r.len, &mut pieces),
-                            None => self.split_request_into(r.offset, r.len, &mut pieces),
-                        }
-                        accounting.push(&r, &pieces);
-                        window.arrivals.push(r.arrival_ms);
-                        window.piece_counts.push(pieces.len() as u32);
-                        window.migration.push(false);
-                        for &(disk, local_byte, len) in &pieces {
-                            window.piece_disks.push(disk as u32);
-                            batches[disk].push(SubRequest {
-                                arrival_ms: r.arrival_ms,
-                                local_byte,
-                                len,
-                                migration: false,
-                            });
-                        }
-                        // Migration decisions happen here, in the split
-                        // stage — the same point the serial pass consults
-                        // the router — so the per-disk sub-request order
-                        // (hence every outcome) is identical.
-                        if let Some(rt) = router.as_mut() {
-                            let subs = rt.after_request(r.offset, r.arrival_ms);
-                            if !subs.is_empty() {
-                                window.arrivals.push(r.arrival_ms);
-                                window.piece_counts.push(subs.len() as u32);
-                                window.migration.push(true);
-                                for (disk, sub) in subs {
-                                    window.piece_disks.push(disk as u32);
-                                    batches[disk].push(sub);
-                                }
-                            }
-                        }
-                    }
-                    // Ship it (empty per-disk batches included, so the
-                    // join can pop uniformly).
-                    if !window.arrivals.is_empty() {
-                        for (disk, batch) in batches.iter_mut().enumerate() {
-                            feeder.push(disk, std::mem::take(batch));
-                        }
-                        in_flight.push_back(std::mem::take(&mut window));
-                    }
-                    // Join the oldest window once the pipeline holds two
-                    // (or once the stream has run dry).
-                    while in_flight.len() > 1 || (exhausted && !in_flight.is_empty()) {
-                        let meta = in_flight.pop_front().expect("checked non-empty");
-                        let outs: Vec<Vec<ServiceOutcome>> =
-                            (0..n).map(|disk| feeder.pop(disk)).collect();
-                        let mut next_piece = 0usize;
-                        let mut cursors = vec![0usize; n];
-                        for (i, &arrival_ms) in meta.arrivals.iter().enumerate() {
-                            let mut completion = arrival_ms;
-                            let mut device_ms = 0.0_f64;
-                            for _ in 0..meta.piece_counts[i] {
-                                let disk = meta.piece_disks[next_piece] as usize;
-                                next_piece += 1;
-                                let out = &outs[disk][cursors[disk]];
-                                cursors[disk] += 1;
-                                completion = completion.max(out.completion_ms);
-                                device_ms = device_ms.max(out.stall_ms + out.service_ms);
-                            }
-                            if meta.migration[i] {
-                                // Background traffic: extends the makespan
-                                // but charges no application I/O time.
-                                acc.observe(completion);
-                            } else {
-                                acc.push(arrival_ms, completion, device_ms);
-                            }
-                        }
-                    }
-                }
-            },
-        );
-        for d in &mut disks {
-            d.finish(acc.makespan);
-        }
-        let app_requests = accounting.app_requests;
-        let events = router.map(|r| r.events).unwrap_or_default();
-        (
-            self.build_report(disks, acc, app_requests, obs_run, events),
-            accounting,
-        )
-    }
 }
 
 /// Run-local tier state: the (mutable) placed volume plus the online
-/// migration policy. Both passes drive it from the split stage in the same
-/// per-request order, so the promote/demote sequence — and with it every
-/// per-disk sub-request stream — is deterministic at any thread count.
+/// migration policy. The event loop consults it after each application
+/// request, so the promote/demote sequence — and with it every per-disk
+/// sub-request stream — is a pure function of the trace and the seed.
 struct TierRouter {
     volume: TieredVolume,
     migration: Option<MigrationConfig>,
@@ -711,18 +501,7 @@ impl TierRouter {
     }
 }
 
-/// Join metadata for one in-flight window of the sharded streaming pass.
-#[derive(Default)]
-struct WindowMeta {
-    arrivals: Vec<f64>,
-    piece_counts: Vec<u32>,
-    piece_disks: Vec<u32>,
-    /// Whether entry `i` is a block of migration transfers (folded into
-    /// the makespan only) rather than an application request.
-    migration: Vec<bool>,
-}
-
-/// The per-request aggregates both passes fold in identical order.
+/// The per-request aggregates the event loop folds, in request order.
 #[derive(Default)]
 struct Accum {
     total_io_time_ms: f64,
@@ -765,44 +544,6 @@ mod tests {
             len,
             kind: RequestKind::Read,
             proc_id: 0,
-        }
-    }
-
-    #[test]
-    fn split_single_stripe() {
-        let sim = simulator(PowerPolicy::None);
-        assert_eq!(sim.split_request(100, 200), vec![(0, 100, 200)]);
-        assert_eq!(sim.split_request(1024, 1024), vec![(1, 0, 1024)]);
-    }
-
-    #[test]
-    fn split_across_disks() {
-        let sim = simulator(PowerPolicy::None);
-        let pieces = sim.split_request(512, 2048);
-        // Stripe 0 tail (512 B on disk 0), stripe 1 (1024 B on disk 1),
-        // stripe 2 head (512 B on disk 2).
-        assert_eq!(pieces, vec![(0, 512, 512), (1, 0, 1024), (2, 0, 512)]);
-    }
-
-    #[test]
-    fn split_merges_wraparound_stripes() {
-        let sim = simulator(PowerPolicy::None);
-        // Two full rows: stripes 0..8. Disk 0 gets stripes 0 and 4, which
-        // are locally adjacent and merge into one 2048-byte piece.
-        let pieces = sim.split_request(0, 8 * 1024);
-        assert_eq!(pieces.len(), 4);
-        for (d, b, l) in pieces {
-            assert_eq!(b, 0, "disk {d}");
-            assert_eq!(l, 2048, "disk {d}");
-        }
-    }
-
-    #[test]
-    fn split_length_conservation() {
-        let sim = simulator(PowerPolicy::None);
-        for (off, len) in [(0u64, 10_000u64), (777, 5_000), (1023, 2), (4096, 1)] {
-            let total: u64 = sim.split_request(off, len).iter().map(|&(_, _, l)| l).sum();
-            assert_eq!(total, len, "off={off} len={len}");
         }
     }
 
@@ -1055,12 +796,9 @@ mod tier_tests {
             read(120_000.0, m.file_base(2) + 1_024, 2_048),
         ]);
         let policy = PowerPolicy::Tpm(TpmConfig::default());
-        let flat = Simulator::new(DiskParams::default(), policy, striping)
-            .with_exec_threads(1)
-            .run(&trace);
+        let flat = Simulator::new(DiskParams::default(), policy, striping).run(&trace);
         let tiered = Simulator::new(DiskParams::default(), policy, striping)
             .with_tiers(config, vol)
-            .with_exec_threads(1)
             .run(&trace);
         assert!(
             tiered.tiers.is_some(),
@@ -1078,9 +816,8 @@ mod tier_tests {
         );
     }
 
-    /// Online migration promotes a hot array parked on the cold tier, the
-    /// moved bytes balance (reads + writes = 2x logical), and the decision
-    /// sequence is identical at any thread count.
+    /// Online migration promotes a hot array parked on the cold tier, and
+    /// the moved bytes balance (reads + writes = 2x logical).
     #[test]
     fn migration_promotes_hot_array_deterministically() {
         let striping = Striping::new(1024, 4, 0);
@@ -1100,15 +837,11 @@ mod tier_tests {
             window_requests: 16,
             ..MigrationConfig::default()
         };
-        let run = |threads: usize| {
-            Simulator::new(DiskParams::default(), PowerPolicy::None, striping)
-                .with_tiers(config.clone(), vol.clone())
-                .with_migration(mig)
-                .with_exec_threads(threads)
-                .run(&trace)
-        };
-        let serial = run(1);
-        let tiers = serial.tiers.as_ref().expect("tier report");
+        let report = Simulator::new(DiskParams::default(), PowerPolicy::None, striping)
+            .with_tiers(config, vol)
+            .with_migration(mig)
+            .run(&trace);
+        let tiers = report.tiers.as_ref().expect("tier report");
         assert!(!tiers.events.is_empty(), "no promotion fired");
         let first = tiers.events[0];
         assert_eq!(first.array, 2);
@@ -1116,21 +849,9 @@ mod tier_tests {
         assert_eq!(first.to_tier, 0);
         assert_eq!(first.bytes, m.file_len(2));
         let event_bytes: u64 = tiers.events.iter().map(|e| e.bytes).sum();
-        assert_eq!(serial.total_migration_bytes(), 2 * event_bytes);
-        assert!(serial.total_migration_requests() > 0);
+        assert_eq!(report.total_migration_bytes(), 2 * event_bytes);
+        assert!(report.total_migration_requests() > 0);
         // App-request conservation is untouched by migration traffic.
-        assert_eq!(serial.app_requests, 64);
-        for threads in [2, 8] {
-            let parallel = run(threads);
-            let mut a = serial.clone();
-            let mut b = parallel.clone();
-            a.obs_run = 0;
-            b.obs_run = 0;
-            assert_eq!(
-                format!("{a:?}"),
-                format!("{b:?}"),
-                "threads={threads} diverged"
-            );
-        }
+        assert_eq!(report.app_requests, 64);
     }
 }

@@ -6,8 +6,8 @@
 //! materialized [`Trace`] is just the special case [`TraceStream`], a
 //! cursor over its slice. The streaming trace generator in `dpm-trace`
 //! and the binary codec reader both implement this trait, which is what
-//! lets the full experiment matrix run in O(disks + window) resident
-//! memory.
+//! lets the full experiment matrix run in resident memory that does not
+//! grow with trace length.
 //!
 //! [`TraceAccounting`] is the streaming replacement for re-walking a
 //! trace after the run: the event loop folds per-disk expected work into
@@ -54,31 +54,6 @@ impl RequestStream for TraceStream<'_> {
         let r = self.requests.get(self.pos).copied();
         self.pos += r.is_some() as usize;
         r
-    }
-}
-
-/// Replays an already-pulled prefix before draining the rest of the
-/// underlying stream. `Simulator::run_stream` uses it to probe one
-/// window's worth of requests when sizing its dispatch — the probe must
-/// not lose what it pulled.
-pub(crate) struct Prefetched<'a> {
-    prefix: std::vec::IntoIter<IoRequest>,
-    rest: &'a mut dyn RequestStream,
-}
-
-impl<'a> Prefetched<'a> {
-    /// A stream yielding `prefix` in order, then everything left in `rest`.
-    pub(crate) fn new(prefix: Vec<IoRequest>, rest: &'a mut dyn RequestStream) -> Prefetched<'a> {
-        Prefetched {
-            prefix: prefix.into_iter(),
-            rest,
-        }
-    }
-}
-
-impl RequestStream for Prefetched<'_> {
-    fn next_request(&mut self) -> Option<IoRequest> {
-        self.prefix.next().or_else(|| self.rest.next_request())
     }
 }
 

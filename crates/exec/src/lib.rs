@@ -4,8 +4,8 @@
 //! always come back in input order, so every caller stays bit-for-bit
 //! deterministic no matter how many threads serviced the map or which
 //! thread ran which item. The workspace's experiment matrix (app ×
-//! version cells), the sharded disk simulator, and the compiler's
-//! per-disk candidate-set computation all run through it.
+//! version cells), the trace generator's per-processor clocks, and the
+//! compiler's per-disk candidate-set computation all run through it.
 //!
 //! Design points:
 //!
@@ -52,10 +52,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod shard;
-
-pub use shard::{shard_scope, ShardFeeder};
-
 use std::any::Any;
 use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -64,15 +60,14 @@ use std::sync::{Mutex, PoisonError};
 use std::thread;
 
 thread_local! {
-    /// Set while the current thread is a map participant or shard worker
-    /// (or inside [`serial_scope`]); nested maps then run serially.
+    /// Set while the current thread is a map participant (or inside
+    /// [`serial_scope`]); nested maps then run serially.
     static IN_WORKER: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Whether the current thread is a map participant or shard worker.
-/// Parallel maps issued from such a thread run serially (depth-1
-/// parallelism).
-pub fn in_worker() -> bool {
+/// Whether the current thread is a map participant. Parallel maps issued
+/// from such a thread run serially (depth-1 parallelism).
+fn in_worker() -> bool {
     IN_WORKER.with(Cell::get)
 }
 
@@ -141,8 +136,8 @@ pub fn with_env_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
 }
 
 /// Caps `requested` to what this call site may actually use: 1 on a map
-/// participant or shard worker, `requested` otherwise.
-pub fn effective_threads(requested: usize) -> usize {
+/// participant, `requested` otherwise.
+fn effective_threads(requested: usize) -> usize {
     if in_worker() {
         1
     } else {

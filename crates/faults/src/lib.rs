@@ -11,10 +11,10 @@
 //!
 //! Determinism is the whole design: every decision is a pure function of
 //! `(plan.seed, disk index, decision order within that disk)`, drawn from
-//! the workspace's own [`XorShift64Star`]. Because the sharded parallel
-//! simulator services each disk's sub-request stream in exactly the serial
-//! order, the same plan produces *bit-identical* reports at any thread
-//! count — the property `tests/fault_determinism.rs` pins.
+//! the workspace's own [`XorShift64Star`]. The simulator services each
+//! disk's sub-request stream in arrival order, so the same plan produces
+//! *bit-identical* reports on every run — the property
+//! `tests/fault_determinism.rs` pins.
 //!
 //! Fault classes (all independently rated, all off at rate 0):
 //!

@@ -256,6 +256,15 @@ mod tests {
         let pieces = s.split_range(0, 8 * 1024);
         assert_eq!(pieces.len(), 4);
         assert!(pieces.iter().all(|&(_, b, l)| b == 0 && l == 2048));
+        // Exact pieces: inside one stripe, one whole stripe, and a stripe-0
+        // tail, a full stripe 1 and a stripe-2 head.
+        for (off, len, want) in [
+            (100u64, 200u64, vec![(0, 100, 200)]),
+            (1024, 1024, vec![(1, 0, 1024)]),
+            (512, 2048, vec![(0, 512, 512), (1, 0, 1024), (2, 0, 512)]),
+        ] {
+            assert_eq!(s.split_range(off, len), want, "off={off} len={len}");
+        }
     }
 
     #[test]

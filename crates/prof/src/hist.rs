@@ -9,9 +9,11 @@
 //! classic HDR-histogram layout, reduced to what the simulator needs.
 //!
 //! Merging is exact (per-bucket addition), commutative, and associative:
-//! merging per-shard histograms equals the single-stream histogram over
+//! merging per-disk histograms equals the single-stream histogram over
 //! the concatenated values. The workspace's streaming-metrics tests pin
-//! that property, because the sharded simulator relies on it.
+//! that property, because the run-level metrics rely on it:
+//! `SimReport::merged_stream_metrics` folds the per-disk sets into the
+//! totals `RunReport` exports.
 
 use dpm_obs::Json;
 

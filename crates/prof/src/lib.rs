@@ -175,7 +175,7 @@ impl Tree {
 
 /// Global accumulator of per-thread trees. A thread's tree arrives here
 /// early only when the thread attached a context and that context detaches
-/// at its root, as `dpm-exec`'s helpers and shard workers do (DESIGN §12).
+/// at its root, as `dpm-exec`'s map helpers do (DESIGN §12).
 /// Any other thread's tree arrives at thread exit, from a TLS destructor
 /// that can run after `thread::scope` has already returned to the spawner.
 fn retired() -> &'static Mutex<Tree> {
@@ -394,7 +394,7 @@ pub struct Profile {
 /// Takes a snapshot of everything profiled so far: the retired accumulator
 /// plus the calling thread's own tree. A worker's scopes are included once
 /// its attached context has detached, which holds whenever a `dpm-exec` map
-/// or shard scope has returned. A thread that never attached a context
+/// has returned. A thread that never attached a context
 /// flushes only at exit, so its scopes may still be missing after the
 /// `thread::scope` that ran it returns.
 pub fn snapshot() -> Profile {

@@ -13,7 +13,7 @@
 //! * [`RpmResidency`]: per-RPM spinning-time counters (the DRPM analogue
 //!   of the busy/idle/standby split `DiskStats` already tracks).
 //!
-//! Everything merges exactly, so per-disk shards aggregate to run totals
+//! Everything merges exactly, so per-disk metrics aggregate to run totals
 //! in the report layer without a second pass over the stream.
 
 use crate::hist::LogHistogram;
@@ -151,8 +151,7 @@ impl RpmResidency {
 
 /// The full streaming metric set for one disk (or, after merging, one
 /// run). All state is O(1) per disk and derived purely from simulated
-/// time, so it is bit-identical between the serial and sharded simulator
-/// passes.
+/// time, so it is bit-identical from run to run.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct DiskStreamMetrics {
     /// Pure service time (positioning + transfer) per sub-request, µs.

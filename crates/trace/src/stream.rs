@@ -287,9 +287,9 @@ impl Lane<'_> {
 /// [`stats`](GenStream::stats) after exhaustion for the generation
 /// statistics.
 ///
-/// Generation is single-threaded (the lockstep merge is inherently
-/// serial); at scale the parallelism lives in the simulator's sharded
-/// event loop instead.
+/// Generation is single-threaded: the lockstep merge is inherently
+/// serial, and so is the simulator's event loop that usually consumes
+/// it. Experiment matrices run whole cells in parallel instead.
 pub struct GenStream<'g> {
     generator: &'g TraceGenerator<'g>,
     order: &'g dyn StreamOrder,

@@ -51,18 +51,17 @@ run ./target/release/dpm-analyze tiny results/ANALYZE_tiny.json
 run ./target/release/dpm-analyze large results/ANALYZE_large.json
 
 # Fault-injection determinism suite in release mode: same seed => bit-identical
-# reports at 1/2/8 threads, zero plan indistinguishable from no plan, no plan
+# reports on every run, zero plan indistinguishable from no plan, no plan
 # ever loses or duplicates work.
 run cargo test -q --offline --release --test fault_determinism
 
 # Serial-vs-parallel harness at 4 threads: asserts the parallel map
 # reproduces the serial figure-9(a) results byte-for-byte (with the
 # profiler off AND on — profiling must not perturb simulation output), as
-# do the skewed-weights microbench and a Small-scale run_stream sharded
-# per disk against the serial pass; and attributes >=95% of the profiled
+# does the skewed-weights microbench; and attributes >=95% of the profiled
 # pass's wall time to named scopes (exported to
-# results/PROF_tiny.{txt,json}). Records wall times, the cost of one
-# 2-item map (map_dispatch_ns) and the sharded/serial run_stream times.
+# results/PROF_tiny.{txt,json}). Records wall times and the cost of one
+# 2-item map (map_dispatch_ns).
 # The speedup gate (matrix >1x AND skew >=1.5x) applies only on hosts with
 # >=4 cores; below that the record reports the measured values and says
 # explicitly that the gate was skipped.

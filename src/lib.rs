@@ -18,8 +18,8 @@
 //! * [`obs`] — zero-dependency instrumentation: spans, counters, typed
 //!   events, JSON-Lines sinks (enable with the `DPM_OBS` env var);
 //! * [`exec`] — zero-dependency execution layer: scoped-thread
-//!   ordered parallel maps and per-shard workers with bit-for-bit
-//!   deterministic results (width via the `DPM_THREADS` env var);
+//!   ordered parallel maps with bit-for-bit deterministic results
+//!   (width via the `DPM_THREADS` env var);
 //! * [`faults`] — deterministic fault injection: seeded per-disk plans
 //!   for spin-up failures, transient errors, latency jitter, and stuck
 //!   spindles, with retry/backoff/degradation handled by the simulator;

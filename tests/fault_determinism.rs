@@ -2,8 +2,8 @@
 //!
 //! A fault plan is part of the simulation's *input*: the same seed and
 //! rates must reproduce the same faults — and therefore bit-identical
-//! reports — whatever the thread count, however many times it runs. The
-//! zero plan must be indistinguishable from never arming faults at all.
+//! reports — however many times it runs. The zero plan must be
+//! indistinguishable from never arming faults at all.
 
 use disk_reuse::prelude::*;
 use dpm_disksim::SimReport;
@@ -63,11 +63,10 @@ fn assert_reports_identical(a: &SimReport, b: &SimReport, label: &str) {
     assert_eq!(a.timelines, b.timelines, "{label}: timelines differ");
 }
 
-fn run_sim(trace: &Trace, policy: PowerPolicy, plan: FaultPlan, threads: usize) -> SimReport {
+fn run_sim(trace: &Trace, policy: PowerPolicy, plan: FaultPlan) -> SimReport {
     Simulator::new(DiskParams::default(), policy, test_striping())
         .with_faults(plan)
         .with_timelines()
-        .with_exec_threads(threads)
         .run(trace)
 }
 
@@ -79,56 +78,10 @@ fn same_seed_same_plan_bit_identical() {
         PowerPolicy::Tpm(TpmConfig::default()),
         PowerPolicy::Drpm(DrpmConfig::default()),
     ] {
-        let a = run_sim(&trace, policy, plan, 1);
-        let b = run_sim(&trace, policy, plan, 1);
+        let a = run_sim(&trace, policy, plan);
+        let b = run_sim(&trace, policy, plan);
         assert!(a.total_faults() > 0, "{policy}: plan must inject something");
         assert_reports_identical(&a, &b, &format!("{policy} repeat"));
-    }
-}
-
-#[test]
-fn sharded_matches_serial_under_active_faults_tpm() {
-    let trace = test_trace();
-    let policy = PowerPolicy::Tpm(TpmConfig::proactive());
-    let plan = FaultPlan::chaos(7, 0.2);
-    let serial = run_sim(&trace, policy, plan, 1);
-    assert!(serial.total_faults() > 0, "plan must inject something");
-    for threads in [2usize, 8] {
-        let parallel = run_sim(&trace, policy, plan, threads);
-        assert_reports_identical(&serial, &parallel, &format!("chaos tpm x{threads}"));
-    }
-}
-
-#[test]
-fn sharded_matches_serial_under_active_faults_drpm() {
-    let trace = test_trace();
-    let policy = PowerPolicy::Drpm(DrpmConfig::proactive());
-    let plan = FaultPlan::chaos(1234, 0.15);
-    let serial = run_sim(&trace, policy, plan, 1);
-    for threads in [2usize, 8] {
-        let parallel = run_sim(&trace, policy, plan, threads);
-        assert_reports_identical(&serial, &parallel, &format!("chaos drpm x{threads}"));
-    }
-}
-
-/// The `DPM_THREADS` route to the pool (what the experiment binaries use)
-/// must agree with the explicit `with_exec_threads` route under a fault
-/// plan. This is the only test in this binary that touches the
-/// environment, and it restores it via the scoped helper.
-#[test]
-fn dpm_threads_env_matches_serial_under_faults() {
-    let trace = test_trace();
-    let policy = PowerPolicy::Tpm(TpmConfig::default());
-    let plan = FaultPlan::chaos(99, 0.1);
-    let serial = run_sim(&trace, policy, plan, 1);
-    for threads in [1usize, 2, 8] {
-        let parallel = dpm_exec::with_env_threads(threads, || {
-            Simulator::new(DiskParams::default(), policy, test_striping())
-                .with_faults(plan)
-                .with_timelines()
-                .run(&trace)
-        });
-        assert_reports_identical(&serial, &parallel, &format!("DPM_THREADS={threads}"));
     }
 }
 
@@ -142,9 +95,8 @@ fn zero_plan_is_bit_identical_to_no_plan() {
     ] {
         let without = Simulator::new(DiskParams::default(), policy, test_striping())
             .with_timelines()
-            .with_exec_threads(1)
             .run(&trace);
-        let with_zero = run_sim(&trace, policy, FaultPlan::zero(), 1);
+        let with_zero = run_sim(&trace, policy, FaultPlan::zero());
         assert_reports_identical(&without, &with_zero, &format!("{policy} zero plan"));
         assert_eq!(with_zero.total_faults(), 0);
         assert_eq!(with_zero.total_retries(), 0);
@@ -158,8 +110,8 @@ fn zero_plan_is_bit_identical_to_no_plan() {
 fn different_seeds_inject_different_faults() {
     let trace = test_trace();
     let policy = PowerPolicy::Tpm(TpmConfig::default());
-    let a = run_sim(&trace, policy, FaultPlan::chaos(1, 0.1), 1);
-    let b = run_sim(&trace, policy, FaultPlan::chaos(2, 0.1), 1);
+    let a = run_sim(&trace, policy, FaultPlan::chaos(1, 0.1));
+    let b = run_sim(&trace, policy, FaultPlan::chaos(2, 0.1));
     // Same rates, different seeds: the realized fault pattern must differ
     // somewhere (counters or timing).
     let differs = a.per_disk != b.per_disk || a.makespan_ms.to_bits() != b.makespan_ms.to_bits();
@@ -173,13 +125,11 @@ fn faults_never_lose_or_duplicate_work() {
         &trace,
         PowerPolicy::Tpm(TpmConfig::default()),
         FaultPlan::zero(),
-        1,
     );
     let chaotic = run_sim(
         &trace,
         PowerPolicy::Tpm(TpmConfig::default()),
         FaultPlan::chaos(5, 0.25),
-        1,
     );
     assert!(chaotic.total_faults() > 0);
     for (disk, (c, f)) in clean.per_disk.iter().zip(&chaotic.per_disk).enumerate() {
@@ -220,7 +170,7 @@ fn shuffled_trace_simulates_identically_after_sort() {
     );
     let policy = PowerPolicy::Tpm(TpmConfig::default());
     let plan = FaultPlan::chaos(3, 0.1);
-    let a = run_sim(&sorted, policy, plan, 1);
-    let b = run_sim(&resorted, policy, plan, 1);
+    let a = run_sim(&sorted, policy, plan);
+    let b = run_sim(&resorted, policy, plan);
     assert_reports_identical(&a, &b, "shuffled-then-sorted trace");
 }

@@ -1,16 +1,14 @@
 //! Parallel == serial determinism suite for the `dpm-exec` execution layer.
 //!
-//! The execution layer promises *bit-for-bit* reproducibility: sharding the
-//! disk simulator, parallelizing the Q_d clustering, or fanning the trace
-//! generator across a pool must never change a single output byte. These
-//! tests pin that contract at several thread counts, and check that worker
-//! panics propagate instead of vanishing.
+//! The execution layer promises *bit-for-bit* reproducibility:
+//! parallelizing the Q_d clustering, fanning the trace generator across
+//! processors, or running experiment cells concurrently must never change
+//! a single output byte. These tests pin that contract at several thread
+//! counts, and check that worker panics propagate instead of vanishing.
 
 use disk_reuse::prelude::*;
-use dpm_disksim::RaidConfig;
 
-/// A small multi-nest program whose arrays stripe across several disks —
-/// enough work that the sharded simulator actually engages all workers.
+/// A small multi-nest program whose arrays stripe across several disks.
 fn test_program() -> Program {
     parse_program(
         "program det; array A[96][32] : f64; array B[96][32] : f64;
@@ -22,104 +20,6 @@ fn test_program() -> Program {
 
 fn test_striping() -> Striping {
     Striping::new(8 << 10, 4, 0)
-}
-
-/// Builds a trace through the full front half of the pipeline (restructure →
-/// generate), serially, so the simulator tests have a fixed input.
-fn test_trace() -> Trace {
-    dpm_exec::serial_scope(|| {
-        let program = test_program();
-        let layout = LayoutMap::new(&program, test_striping());
-        let deps = analyze(&program);
-        let schedule = restructure_single(&program, &layout, &deps);
-        let gen = TraceGenerator::new(&program, &layout, TraceGenOptions::default());
-        gen.generate(&schedule).0
-    })
-}
-
-/// Field-by-field `SimReport` equality. `SimReport` carries an `obs_run` id
-/// that differs per run by design, so it has no `PartialEq`; everything the
-/// experiments consume is compared here instead. Floats are compared
-/// *bitwise* — the determinism contract is exact, not approximate.
-fn assert_reports_identical(a: &SimReport, b: &SimReport, label: &str) {
-    assert_eq!(
-        a.makespan_ms.to_bits(),
-        b.makespan_ms.to_bits(),
-        "{label}: makespan_ms differs ({} vs {})",
-        a.makespan_ms,
-        b.makespan_ms
-    );
-    assert_eq!(
-        a.total_io_time_ms.to_bits(),
-        b.total_io_time_ms.to_bits(),
-        "{label}: total_io_time_ms differs ({} vs {})",
-        a.total_io_time_ms,
-        b.total_io_time_ms
-    );
-    assert_eq!(
-        a.total_response_ms.to_bits(),
-        b.total_response_ms.to_bits(),
-        "{label}: total_response_ms differs ({} vs {})",
-        a.total_response_ms,
-        b.total_response_ms
-    );
-    assert_eq!(a.app_requests, b.app_requests, "{label}: app_requests");
-    assert_eq!(a.per_disk, b.per_disk, "{label}: per-disk stats differ");
-    assert_eq!(
-        a.idle_histograms, b.idle_histograms,
-        "{label}: idle histograms differ"
-    );
-    assert_eq!(a.timelines, b.timelines, "{label}: timelines differ");
-}
-
-fn run_sim(trace: &Trace, policy: PowerPolicy, threads: usize) -> SimReport {
-    Simulator::new(DiskParams::default(), policy, test_striping())
-        .with_timelines()
-        .with_exec_threads(threads)
-        .run(trace)
-}
-
-#[test]
-fn sharded_simulator_matches_serial_tpm() {
-    let trace = test_trace();
-    let policy = PowerPolicy::Tpm(TpmConfig::default());
-    let serial = run_sim(&trace, policy, 1);
-    assert!(
-        serial.total_energy_j() > 0.0,
-        "trace must exercise the disks"
-    );
-    for threads in [2usize, 8] {
-        let parallel = run_sim(&trace, policy, threads);
-        assert_reports_identical(&serial, &parallel, &format!("tpm x{threads}"));
-    }
-}
-
-#[test]
-fn sharded_simulator_matches_serial_drpm() {
-    let trace = test_trace();
-    let policy = PowerPolicy::Drpm(DrpmConfig::default());
-    let serial = run_sim(&trace, policy, 1);
-    for threads in [2usize, 8] {
-        let parallel = run_sim(&trace, policy, threads);
-        assert_reports_identical(&serial, &parallel, &format!("drpm x{threads}"));
-    }
-}
-
-#[test]
-fn sharded_simulator_matches_serial_with_raid_substriping() {
-    let trace = test_trace();
-    let policy = PowerPolicy::Tpm(TpmConfig::proactive());
-    let sim = |threads: usize| {
-        Simulator::new(DiskParams::default(), policy, test_striping())
-            .with_raid(RaidConfig::raid0(2, 4 << 10))
-            .with_timelines()
-            .with_exec_threads(threads)
-            .run(&trace)
-    };
-    let serial = sim(1);
-    for threads in [2usize, 8] {
-        assert_reports_identical(&serial, &sim(threads), &format!("raid x{threads}"));
-    }
 }
 
 /// The compiler half of the pipeline: Q_d clustering (`restructure_single`)
@@ -290,41 +190,4 @@ fn skewed_matrix_deterministic_across_thread_counts() {
             "DPM_THREADS={threads}: skewed matrix diverged"
         );
     }
-}
-
-/// Depth-1 nesting through `shard_scope`: each shard worker counts as a
-/// map participant, so a parallel map issued *inside* a shard body must
-/// degrade to the serial path (no nested fan-out) and produce the same
-/// bits as a fully serial evaluation.
-#[test]
-fn nested_map_inside_shard_scope_matches_serial() {
-    let inner = |seed: u64| -> Vec<u64> {
-        let items: Vec<u64> = (0..32).map(|i| seed + i).collect();
-        dpm_exec::par_map_indexed(&items, |i, &x| {
-            (0..16).fold(x as f64 + i as f64, |acc, k| acc * 1.01 + k as f64)
-        })
-        .into_iter()
-        .map(f64::to_bits)
-        .collect()
-    };
-    let serial: Vec<Vec<u64>> =
-        dpm_exec::serial_scope(|| (0..4u64).map(|s| inner(s * 100)).collect());
-    let (outs, ()) = dpm_exec::shard_scope(
-        vec![Vec::new(), Vec::new(), Vec::new(), Vec::new()],
-        4,
-        |_, state: &mut Vec<Vec<u64>>, seed: u64| state.push(inner(seed)),
-        |feeder| {
-            for s in 0..4u64 {
-                feeder.push(s as usize, s * 100);
-            }
-            for s in 0..4 {
-                feeder.pop(s);
-            }
-        },
-    );
-    let nested: Vec<Vec<u64>> = outs.into_iter().map(|mut v| v.remove(0)).collect();
-    assert_eq!(
-        serial, nested,
-        "nested shard_scope map diverged from serial"
-    );
 }

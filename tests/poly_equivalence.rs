@@ -90,7 +90,6 @@ fn bitset_scheduler_is_bit_identical_across_suite() {
                 paper_striping(),
             )
             .with_timelines()
-            .with_exec_threads(1)
             .run(trace)
         };
         assert_reports_identical(&run(&trace_fast), &run(&trace_ref), &label);

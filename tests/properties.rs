@@ -84,7 +84,6 @@ mod randomized {
         Simulator::new(DiskParams::default(), policy, striping)
             .with_faults(plan)
             .with_timelines()
-            .with_exec_threads(1)
             .run(trace)
     }
 
@@ -248,8 +247,7 @@ mod randomized {
                 random_policy(&mut rng),
                 striping,
             )
-            .with_tiers(config.clone(), vol)
-            .with_exec_threads(1);
+            .with_tiers(config.clone(), vol);
             let migrate = rng.range_i64(0, 3) > 0; // most cases migrate
             if migrate {
                 sim = sim.with_migration(migration);

@@ -1,16 +1,12 @@
 //! Determinism guarantees of the tiered simulator.
 //!
-//! Three contracts:
+//! Two contracts:
 //!
 //! * **Flat compatibility** — a single-class `TierConfig` with a
 //!   file-order uniform placement and no migration produces a report
 //!   *byte-identical* (modulo the run id and the added tier summary) to
 //!   the pre-tier flat simulator, so every golden captured before tiers
 //!   existed still pins the same numbers.
-//! * **Thread independence** — migration-enabled heterogeneous runs are
-//!   bit-identical serial vs sharded (1, 2, and 8 workers), whether the
-//!   width comes from `with_exec_threads` or the `DPM_THREADS`
-//!   environment.
 //! * **Seed determinism** — the promote/demote sequence is a pure
 //!   function of the seeded migration policy: same seed, same events,
 //!   every time.
@@ -77,9 +73,7 @@ fn single_class_zero_migration_matches_flat_byte_for_byte() {
         let params = perf.params;
         let policy = PowerPolicy::Tpm(TpmConfig::default());
 
-        let flat = Simulator::new(params, policy, striping)
-            .with_exec_threads(1)
-            .run(&trace);
+        let flat = Simulator::new(params, policy, striping).run(&trace);
 
         let sizes: Vec<u64> = (0..layout.num_files())
             .map(|a| layout.file_len(a))
@@ -89,7 +83,6 @@ fn single_class_zero_migration_matches_flat_byte_for_byte() {
         let vol = TieredVolume::new(&layout, tier_cfg.topology(), &plan);
         let tiered = Simulator::new(params, policy, striping)
             .with_tiers(tier_cfg, vol)
-            .with_exec_threads(1)
             .run(&trace);
 
         assert_eq!(
@@ -111,77 +104,6 @@ fn single_class_zero_migration_matches_flat_byte_for_byte() {
     }
 }
 
-/// Migration-enabled heterogeneous runs are bit-identical at 1, 2, and 8
-/// worker threads — including the promote/demote sequence itself.
-#[test]
-fn migrated_runs_identical_across_thread_counts() {
-    let config = TierSweepConfig::default();
-    let (program, layout, trace) = tiny_trace("SCF 3.0", &config);
-    let (tiers, _) = tier_setup(&program, &layout, &config);
-    let run_with = |threads: usize| {
-        let (_, vol) = tier_setup(&program, &layout, &config);
-        Simulator::new(
-            DiskClass::performance().params,
-            PowerPolicy::Tpm(TpmConfig::default()),
-            *layout.striping(),
-        )
-        .with_tiers(tiers.clone(), vol)
-        .with_migration(MigrationConfig::default())
-        .with_exec_threads(threads)
-        .run(&trace)
-    };
-    let serial = run_with(1);
-    let serial_events = serial.tiers.as_ref().expect("tier summary").events.clone();
-    assert!(
-        !serial_events.is_empty(),
-        "scenario exercises no migration; pick a hotter app"
-    );
-    let reference = canonical(serial);
-    for threads in [2, 8] {
-        let sharded = run_with(threads);
-        assert_eq!(
-            sharded.tiers.as_ref().expect("tier summary").events,
-            serial_events,
-            "{threads} threads: promote/demote sequence diverged"
-        );
-        assert_eq!(
-            reference,
-            canonical(sharded),
-            "{threads} threads: sharded tiered report diverged from serial"
-        );
-    }
-}
-
-/// The `DPM_THREADS` environment path produces the same bytes as the
-/// explicit `with_exec_threads` override.
-#[test]
-fn migrated_runs_identical_across_dpm_threads_env() {
-    let config = TierSweepConfig::default();
-    let (program, layout, trace) = tiny_trace("RSense 2.0", &config);
-    let (tiers, _) = tier_setup(&program, &layout, &config);
-    let run_with_env = |threads: usize| {
-        dpm_exec::with_env_threads(threads, || {
-            let (_, vol) = tier_setup(&program, &layout, &config);
-            Simulator::new(
-                DiskClass::performance().params,
-                PowerPolicy::Tpm(TpmConfig::default()),
-                *layout.striping(),
-            )
-            .with_tiers(tiers.clone(), vol)
-            .with_migration(MigrationConfig::default())
-            .run(&trace)
-        })
-    };
-    let reference = canonical(run_with_env(1));
-    for threads in [2, 8] {
-        assert_eq!(
-            reference,
-            canonical(run_with_env(threads)),
-            "DPM_THREADS={threads}: tiered report diverged from serial"
-        );
-    }
-}
-
 /// The promote/demote sequence is a pure function of the migration seed:
 /// the same seed replays the same events; the decision sequence is also
 /// stable run-to-run (no hidden global state).
@@ -199,7 +121,6 @@ fn same_seed_same_migration_sequence() {
         )
         .with_tiers(tiers.clone(), vol)
         .with_migration(migration)
-        .with_exec_threads(1)
         .run(&trace)
         .tiers
         .expect("tier summary")
