@@ -125,6 +125,9 @@ fn main() {
         .and_then(|v| v.parse().ok())
         .filter(|&n| n > 0)
         .unwrap_or(4);
+    // Pin the map width for the parallel passes to the figure we are
+    // about to report.
+    std::env::set_var("DPM_THREADS", threads.to_string());
     let num_cells = cells(scale).len();
     println!(
         "chaos_bench: figure-9(a) matrix at {scale:?} scale, {num_cells} cells, \
@@ -138,73 +141,71 @@ fn main() {
     let mut sweep = Vec::new();
     let mut total_serial_ms = 0.0;
     let mut total_parallel_ms = 0.0;
-    dpm_exec::with_env_threads(threads, || {
-        for rate in RATES {
-            let config = ExperimentConfig {
-                faults: FaultPlan::chaos(SEED, rate),
-                ..ExperimentConfig::default()
-            };
+    for rate in RATES {
+        let config = ExperimentConfig {
+            faults: FaultPlan::chaos(SEED, rate),
+            ..ExperimentConfig::default()
+        };
 
-            let t = Instant::now();
-            let serial = dpm_exec::serial_scope(|| run(cells(scale), &config));
-            let serial_ms = t.elapsed().as_secs_f64() * 1e3;
-            let t = Instant::now();
-            let parallel = run(cells(scale), &config);
-            let parallel_ms = t.elapsed().as_secs_f64() * 1e3;
+        let t = Instant::now();
+        let serial = dpm_exec::with_env_threads(1, || run(cells(scale), &config));
+        let serial_ms = t.elapsed().as_secs_f64() * 1e3;
+        let t = Instant::now();
+        let parallel = run(cells(scale), &config);
+        let parallel_ms = t.elapsed().as_secs_f64() * 1e3;
 
-            if canonical(&serial) != canonical(&parallel) {
-                eprintln!("chaos_bench: FAIL — parallel diverged from serial at rate {rate}");
-                eprintln!("--- serial ---\n{}", canonical(&serial));
-                eprintln!("--- parallel ---\n{}", canonical(&parallel));
-                std::process::exit(1);
-            }
-            total_serial_ms += serial_ms;
-            total_parallel_ms += parallel_ms;
-            let reports = check_invariants(&serial, &config, rate)
-                + check_invariants(&parallel, &config, rate);
+        if canonical(&serial) != canonical(&parallel) {
+            eprintln!("chaos_bench: FAIL — parallel diverged from serial at rate {rate}");
+            eprintln!("--- serial ---\n{}", canonical(&serial));
+            eprintln!("--- parallel ---\n{}", canonical(&parallel));
+            std::process::exit(1);
+        }
+        total_serial_ms += serial_ms;
+        total_parallel_ms += parallel_ms;
+        let reports =
+            check_invariants(&serial, &config, rate) + check_invariants(&parallel, &config, rate);
 
-            let total = |f: &dyn Fn(&dpm_disksim::SimReport) -> u64| -> u64 {
-                serial
-                    .iter()
-                    .flat_map(|a| a.results.iter())
-                    .map(|r| f(&r.report))
-                    .sum()
-            };
-            let faults = total(&|r| r.total_faults());
-            let retries = total(&|r| r.total_retries());
-            let timeouts = total(&|r| r.total_timeouts());
-            let requeues = total(&|r| r.total_requeues());
-            let degraded = total(&|r| r.degraded_disks() as u64);
-            let energy: f64 = serial
+        let total = |f: &dyn Fn(&dpm_disksim::SimReport) -> u64| -> u64 {
+            serial
                 .iter()
                 .flat_map(|a| a.results.iter())
-                .map(|r| r.report.total_energy_j())
-                .sum();
-            if rate == 0.0 && faults + retries + timeouts + requeues != 0 {
-                eprintln!("chaos_bench: FAIL — zero-fault plan injected something");
-                std::process::exit(1);
-            }
-            println!(
-                "  rate {rate:>5.2}: faults {faults:>6} retries {retries:>6} \
-                 timeouts {timeouts:>5} requeues {requeues:>5} degraded {degraded:>3} \
-                 energy {energy:>12.1} J  serial {serial_ms:>8.1} ms  \
-                 parallel {parallel_ms:>8.1} ms  identical: yes, invariants: {reports} reports clean"
-            );
-            sweep.push(Json::obj(vec![
-                ("rate", Json::F64(rate)),
-                ("faults", Json::U64(faults)),
-                ("retries", Json::U64(retries)),
-                ("timeouts", Json::U64(timeouts)),
-                ("requeues", Json::U64(requeues)),
-                ("degraded_disks", Json::U64(degraded)),
-                ("total_energy_j", Json::F64(energy)),
-                ("serial_ms", Json::F64(serial_ms)),
-                ("parallel_ms", Json::F64(parallel_ms)),
-                ("identical_output", Json::Bool(true)),
-                ("reports_checked", Json::U64(reports)),
-            ]));
+                .map(|r| f(&r.report))
+                .sum()
+        };
+        let faults = total(&|r| r.total_faults());
+        let retries = total(&|r| r.total_retries());
+        let timeouts = total(&|r| r.total_timeouts());
+        let requeues = total(&|r| r.total_requeues());
+        let degraded = total(&|r| r.degraded_disks() as u64);
+        let energy: f64 = serial
+            .iter()
+            .flat_map(|a| a.results.iter())
+            .map(|r| r.report.total_energy_j())
+            .sum();
+        if rate == 0.0 && faults + retries + timeouts + requeues != 0 {
+            eprintln!("chaos_bench: FAIL — zero-fault plan injected something");
+            std::process::exit(1);
         }
-    });
+        println!(
+            "  rate {rate:>5.2}: faults {faults:>6} retries {retries:>6} \
+             timeouts {timeouts:>5} requeues {requeues:>5} degraded {degraded:>3} \
+             energy {energy:>12.1} J  serial {serial_ms:>8.1} ms  \
+             parallel {parallel_ms:>8.1} ms  identical: yes, invariants: {reports} reports clean"
+        );
+        sweep.push(Json::obj(vec![
+            ("rate", Json::F64(rate)),
+            ("faults", Json::U64(faults)),
+            ("retries", Json::U64(retries)),
+            ("timeouts", Json::U64(timeouts)),
+            ("requeues", Json::U64(requeues)),
+            ("degraded_disks", Json::U64(degraded)),
+            ("total_energy_j", Json::F64(energy)),
+            ("serial_ms", Json::F64(serial_ms)),
+            ("parallel_ms", Json::F64(parallel_ms)),
+            ("identical_output", Json::Bool(true)),
+            ("reports_checked", Json::U64(reports)),
+        ]));
+    }
 
     record.metric("sweep_serial_ms", total_serial_ms);
     record.metric("sweep_parallel_ms", total_parallel_ms);

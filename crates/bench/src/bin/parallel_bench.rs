@@ -168,7 +168,7 @@ fn skew_microbench() -> AbResult {
     let run =
         |w: &[u64]| dpm_exec::par_map_indexed(w, |i, &units| spin(units).wrapping_add(i as u64));
     let t = Instant::now();
-    let serial_out = dpm_exec::serial_scope(|| run(&weights));
+    let serial_out = dpm_exec::with_env_threads(1, || run(&weights));
     let serial_ms = t.elapsed().as_secs_f64() * 1e3;
     let t = Instant::now();
     let parallel_out = run(&weights);
@@ -238,7 +238,7 @@ fn main() {
     let mut failures = 0u32;
 
     let t = Instant::now();
-    let serial = dpm_exec::serial_scope(|| run_matrix(cells(scale), &config));
+    let serial = dpm_exec::with_env_threads(1, || run_matrix(cells(scale), &config));
     let serial_ms = t.elapsed().as_secs_f64() * 1e3;
     println!("  serial   pass: {serial_ms:>9.1} ms");
 

@@ -10,8 +10,9 @@
 //! 2. **Microbenches**: counting and `Q_d` footprint construction at
 //!    `Scale::Large` geometry, closed-form vs enumerated, plus cached vs
 //!    uncached repeated queries and the two scheduling engines. The
-//!    closed-vs-enumerated speedup must reach 10x on the counting or the
-//!    `Q_d` bench, or the run fails.
+//!    closed-vs-enumerated speedup must reach 10x on the rectangle-count
+//!    bench, or the run fails; the `Q_d` footprint speedup is recorded
+//!    but not gated.
 //! 3. **Matrix**: the figure-9(a) experiment matrix at the requested scale
 //!    (default `small`), wall-clock recorded — the "does the pipeline scale
 //!    past Tiny now" smoke check.
@@ -327,22 +328,22 @@ fn main() {
     record.metric("qd_footprints_speedup_x", qd_speedup);
     record.metric("qd_mask_scratch_speedup_x", mask_speedup);
     record.metric("cached_queries_speedup_x", cached_speedup);
-    if rect_speedup < 10.0 && qd_speedup < 10.0 {
+    if rect_speedup < 10.0 {
         eprintln!(
-            "poly_bench: FAIL — neither the count_points bench ({rect_speedup:.1}x) \
-             nor the Q_d bench ({qd_speedup:.1}x) reached the 10x bar"
+            "poly_bench: FAIL — the count_points rectangle bench ({rect_speedup:.1}x) \
+             did not reach the 10x bar"
         );
         record.gate(
             "count_speedup_10x",
             GateStatus::Fail,
-            format!("rect {rect_speedup:.1}x, qd {qd_speedup:.1}x — both under 10x"),
+            format!("rect {rect_speedup:.1}x — under 10x"),
         );
         failures += 1;
     } else {
         record.gate(
             "count_speedup_10x",
             GateStatus::Pass,
-            format!("rect {rect_speedup:.1}x, qd {qd_speedup:.1}x"),
+            format!("rect {rect_speedup:.1}x"),
         );
     }
 

@@ -49,13 +49,8 @@ pub fn parallelize_baseline(
     sp.add("phases", program.nests.len() as u64);
     let mut schedule = Schedule::new(num_procs, program.nests.len());
     let compiled = CompiledProgram::new(program);
-    // Chunk computation is independent per nest; the schedule is assembled
-    // serially in nest order afterwards, so the result is order-stable.
-    let nests: Vec<NestId> = (0..program.nests.len()).collect();
-    let per_nest = dpm_exec::par_map_indexed(&nests, |_, &ni| {
-        baseline_chunks(program, deps, ni, num_procs)
-    });
-    for (ni, chunks) in per_nest.into_iter().enumerate() {
+    for ni in 0..program.nests.len() {
+        let chunks = baseline_chunks(program, deps, ni, num_procs);
         // Each processor's chunk is restructured independently (§5 applied
         // per processor), so the per-processor disk sweeps interleave.
         finish_phase(
@@ -93,35 +88,24 @@ pub fn parallelize_layout_aware(
     sp.add("phases", program.nests.len() as u64);
     let mut schedule = Schedule::new(num_procs, program.nests.len());
     let compiled = CompiledProgram::new(program);
-    // Per-nest region/fallback decisions and chunk computation (the §6.2
-    // per-processor footprints) are independent; compute them in parallel
-    // and tag each nest with the branch taken so the span counters are
-    // bumped in deterministic nest order during the serial assembly below.
-    let nests: Vec<NestId> = (0..program.nests.len()).collect();
-    let per_nest = dpm_exec::par_map_indexed(&nests, |_, &ni| {
+    for ni in 0..program.nests.len() {
         let nest = &program.nests[ni];
         let parallel = outermost_parallel_loop(&deps.nest_distances(ni), nest.depth());
         let has_intra_deps =
             !deps.nest_exact_distances(ni).is_empty() || deps.nest_requires_original_order(ni);
-        if parallel.is_none() {
+        let chunks = if parallel.is_none() {
             // Fully serial nest: everything on processor 0.
-            ("serial_phases", serial_chunks(program, ni, num_procs))
+            sp.incr("serial_phases");
+            serial_chunks(program, ni, num_procs)
         } else if has_intra_deps {
             // A data-driven split could break the dependence structure the
             // baseline partition is known to respect; stay conservative.
-            (
-                "baseline_fallbacks",
-                baseline_chunks(program, deps, ni, num_procs),
-            )
+            sp.incr("baseline_fallbacks");
+            baseline_chunks(program, deps, ni, num_procs)
         } else {
-            (
-                "region_phases",
-                region_chunks(program, layout, &compiled, ni, num_procs),
-            )
-        }
-    });
-    for (ni, (branch, chunks)) in per_nest.into_iter().enumerate() {
-        sp.incr(branch);
+            sp.incr("region_phases");
+            region_chunks(program, layout, &compiled, ni, num_procs)
+        };
         finish_phase(
             program,
             layout,

@@ -109,23 +109,23 @@ fn iter_ready(
     true
 }
 
-/// Disk-affinity masks for every iteration, flattened in global-id order.
-/// Each nest's masks depend only on read-only program/layout state, so
-/// nests are computed in parallel and flattened back in nest order —
-/// bit-identical to a serial sweep.
+/// Disk-affinity masks for every iteration, in global-id order (nest
+/// by nest, each nest's iterations in table order).
 fn compute_masks(program: &Program, layout: &LayoutMap, tables: &[NestTable]) -> Vec<u64> {
     let mut qd = dpm_obs::span!("q_d_compute");
     qd.add("nests", tables.len() as u64);
     let _prof = dpm_prof::scope("qd_masks");
     let compiled = CompiledProgram::new(program);
-    let per_nest = dpm_exec::par_map_indexed(tables, |ni, t| {
-        let mut buf = [0i64; CompactIter::MAX_DEPTH];
-        t.iters
-            .iter()
-            .map(|it| compiled.disk_mask(program, layout, ni, it.coords_into(&mut buf)))
-            .collect::<Vec<u64>>()
-    });
-    per_nest.into_iter().flatten().collect()
+    let mut buf = [0i64; CompactIter::MAX_DEPTH];
+    let mut masks = Vec::with_capacity(tables.iter().map(|t| t.iters.len()).sum());
+    for (ni, t) in tables.iter().enumerate() {
+        masks.extend(
+            t.iters
+                .iter()
+                .map(|it| compiled.disk_mask(program, layout, ni, it.coords_into(&mut buf))),
+        );
+    }
+    masks
 }
 
 /// The Figure 3 restructuring: schedules all iterations of `program` on one

@@ -356,15 +356,6 @@ impl SimReport {
         self.total_io_time_ms / base.total_io_time_ms - 1.0
     }
 
-    /// Merged idle histogram over all disks.
-    pub fn merged_idle_histogram(&self) -> IdleHistogram {
-        let mut h = IdleHistogram::default();
-        for d in &self.idle_histograms {
-            h.merge(d);
-        }
-        h
-    }
-
     /// Merged streaming metrics over all disks (exact — histogram merge
     /// is per-bucket addition). Empty when the report carries none.
     pub fn merged_stream_metrics(&self) -> DiskStreamMetrics {

@@ -3,9 +3,10 @@
 //! A std-only *scoped fan-out* with an *ordered* parallel map: results
 //! always come back in input order, so every caller stays bit-for-bit
 //! deterministic no matter how many threads serviced the map or which
-//! thread ran which item. The workspace's experiment matrix (app ×
-//! version cells), the trace generator's per-processor clocks, and the
-//! compiler's per-disk candidate-set computation all run through it.
+//! thread ran which item. Parallelism lives at one level, the cells:
+//! the experiment matrices (app × version cells), the benchmark's passes,
+//! the `ablations` sweeps, `dpm-analyze`'s apps and the layout
+//! optimizer's candidates. The stages a cell runs are plain loops.
 //!
 //! Design points:
 //!
@@ -22,22 +23,17 @@
 //!   slow item holds up only the participant running it.
 //! * **`DPM_THREADS` env control.** [`num_threads`] reads `DPM_THREADS`
 //!   (unset or `0` → `std::thread::available_parallelism()`); `1` forces
-//!   the serial path everywhere. [`Pool`] values are just width
-//!   selectors.
+//!   the serial path everywhere, and [`with_env_threads`] sets it for one
+//!   region. [`Pool`] values are just width selectors.
 //! * **Determinism.** [`Pool::map_indexed`] / [`par_map_indexed`] write
 //!   each result into its input's slot, so the output `Vec` is identical
 //!   to a serial `map` — only wall-clock order differs. With one thread
-//!   (or inside another map's participant) the closure runs in input
-//!   order on the calling thread, making "serial" a strict special case
-//!   of the same code path.
+//!   the closure runs in input order on the calling thread, making
+//!   "serial" a strict special case of the same code path.
 //! * **Panic propagation.** The first item panic is captured, stops
 //!   further claims, and the payload is re-raised on the caller's thread
 //!   after the join — a panicking cell cannot silently truncate an
 //!   experiment matrix.
-//! * **No nested fan-out.** A `par_map` issued from inside a participant
-//!   runs serially on that thread (depth-1 parallelism), so an experiment
-//!   matrix of `p` cells never spawns `p²` threads when the stages it
-//!   calls are themselves parallelized.
 //! * **Observability.** Each parallel map opens a `par_map` span
 //!   (`items`, `workers`) and each participant an `exec_worker` span
 //!   (`worker` slot, `claimed` counter) via `dpm-obs`; helpers adopt the
@@ -53,38 +49,10 @@
 #![warn(missing_docs)]
 
 use std::any::Any;
-use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::thread;
-
-thread_local! {
-    /// Set while the current thread is a map participant (or inside
-    /// [`serial_scope`]); nested maps then run serially.
-    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Whether the current thread is a map participant. Parallel maps issued
-/// from such a thread run serially (depth-1 parallelism).
-fn in_worker() -> bool {
-    IN_WORKER.with(Cell::get)
-}
-
-/// Runs `f` with nested parallelism disabled: any parallel map issued
-/// inside (on this thread) executes serially in input order. Used by
-/// benchmarks that need an honest single-thread baseline regardless of
-/// `DPM_THREADS`.
-pub fn serial_scope<R>(f: impl FnOnce() -> R) -> R {
-    struct Reset(bool);
-    impl Drop for Reset {
-        fn drop(&mut self) {
-            IN_WORKER.with(|w| w.set(self.0));
-        }
-    }
-    let _reset = Reset(IN_WORKER.with(|w| w.replace(true)));
-    f()
-}
 
 /// The worker-thread count selected by the environment: `DPM_THREADS` if
 /// set to a positive integer, otherwise the machine's available
@@ -135,16 +103,6 @@ pub fn with_env_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// Caps `requested` to what this call site may actually use: 1 on a map
-/// participant, `requested` otherwise.
-fn effective_threads(requested: usize) -> usize {
-    if in_worker() {
-        1
-    } else {
-        requested.max(1)
-    }
-}
-
 /// A width selector for parallel maps. A map at width `n` runs on the
 /// calling thread plus `n − 1` scoped helper threads that are joined
 /// before it returns.
@@ -178,8 +136,8 @@ impl Pool {
 
     /// Ordered parallel map over a slice: returns `f(i, &items[i])` for
     /// every `i`, in input order. Runs serially (in order, on the calling
-    /// thread) when the pool has one thread, the input has at most one
-    /// item, or the calling thread is already a map participant.
+    /// thread) when the pool has one thread or the input has at most one
+    /// item.
     ///
     /// # Panics
     ///
@@ -193,9 +151,8 @@ impl Pool {
     }
 
     /// Ordered parallel map over owned items: like
-    /// [`map_indexed`](Pool::map_indexed) but each call consumes its item,
-    /// for stages that thread mutable state through (e.g. per-processor
-    /// trace generation).
+    /// [`map_indexed`](Pool::map_indexed) but each call consumes its item
+    /// (e.g. an experiment cell that owns its application).
     ///
     /// # Panics
     ///
@@ -206,7 +163,7 @@ impl Pool {
         f: impl Fn(usize, T) -> R + Sync,
     ) -> Vec<R> {
         let len = items.len();
-        if effective_threads(self.threads).min(len) <= 1 {
+        if self.threads.min(len) <= 1 {
             return items
                 .into_iter()
                 .enumerate()
@@ -243,7 +200,7 @@ fn run_indexed<R: Send>(threads: usize, len: usize, job: &(impl Fn(usize) -> R +
     if len == 0 {
         return Vec::new();
     }
-    let threads = effective_threads(threads).min(len);
+    let threads = threads.min(len);
     if threads <= 1 {
         // Serial fallback: same results, same order, no thread machinery;
         // panics unwind straight to the caller.
@@ -315,12 +272,11 @@ fn fan_out(threads: usize, len: usize, task: &(dyn Fn(usize) + Sync)) {
             // A helper the OS refuses to start is not needed for
             // correctness: the others claim its block in ring order.
             let _ = thread::Builder::new().spawn_scoped(scope, move || {
-                IN_WORKER.with(|flag| flag.set(true));
                 let _adopt = ctx.attach();
                 participate(w);
             });
         }
-        serial_scope(|| participate(0));
+        participate(0);
     });
     if let Some(p) = payload.into_inner().expect("exec panic slot poisoned") {
         resume_unwind(p);
@@ -431,36 +387,6 @@ mod tests {
             Pool::new(1).map_indexed(&[0usize], |_, _| panic!("serial path"))
         }));
         assert!(caught.is_err());
-    }
-
-    #[test]
-    fn nested_maps_run_serially_inside_workers() {
-        let outer: Vec<usize> = (0..4).collect();
-        let out = Pool::new(4).map_indexed(&outer, |_, &i| {
-            assert!(in_worker());
-            // Inner map must degrade to the serial path on this worker.
-            let inner = Pool::new(8).map_indexed(&[10usize, 20, 30], |_, &x| x + i);
-            inner.iter().sum::<usize>()
-        });
-        assert_eq!(out, vec![60, 63, 66, 69]);
-    }
-
-    #[test]
-    fn serial_scope_disables_parallelism() {
-        assert!(!in_worker());
-        serial_scope(|| {
-            assert!(in_worker());
-            let out = Pool::new(8).map_indexed(&[1u32, 2, 3], |_, &x| x * 2);
-            assert_eq!(out, vec![2, 4, 6]);
-        });
-        assert!(!in_worker());
-    }
-
-    #[test]
-    fn effective_threads_caps_inside_workers() {
-        assert_eq!(effective_threads(8), 8);
-        assert_eq!(effective_threads(0), 1);
-        serial_scope(|| assert_eq!(effective_threads(8), 1));
     }
 
     #[test]

@@ -5,7 +5,6 @@
 
 use crate::ast::{ArrayRef, LoopNest, Program, Statement};
 use crate::parser::DEFAULT_STMT_COST;
-use dpm_poly::LinExpr;
 
 /// Renders a whole program as parseable pseudo-language source.
 pub fn print_program(p: &Program) -> String {
@@ -97,12 +96,6 @@ pub fn print_ref(p: &Program, r: &ArrayRef, names: &[&str]) -> String {
         out.push_str(&format!("[{}]", ix.display_with(names)));
     }
     out
-}
-
-/// Renders an affine expression over the given nest's variables (thin alias
-/// for [`LinExpr::display_with`], re-exported for bench/report code).
-pub fn print_expr(e: &LinExpr, names: &[&str]) -> String {
-    e.display_with(names)
 }
 
 #[cfg(test)]

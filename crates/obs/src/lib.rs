@@ -16,9 +16,8 @@
 //!   a [`Collector`] read handle) and the [`JsonLinesSink`] file writer.
 //!   The simulator emits per-disk power-state transitions, the trace
 //!   generator request-issue events.
-//! * **Metrics** — [`Counter`], [`Gauge`], and [`Histogram`] with
-//!   configurable bucket edges (the simulator's idle-period histogram,
-//!   generalized).
+//! * **Metrics** — [`Histogram`] with configurable bucket edges (the
+//!   simulator's idle-period histogram, generalized).
 //!
 //! Everything funnels through one global, thread-safe registry so
 //! multi-processor stages can record from any thread. The switch is a
@@ -59,7 +58,7 @@ pub mod sink;
 
 pub use event::{kind, parse_json_lines, Event, Value};
 pub use json::{Json, JsonError};
-pub use metrics::{Counter, Gauge, Histogram};
+pub use metrics::Histogram;
 pub use rng::XorShift64Star;
 pub use sink::{read_json_lines, span_durations, Collector, EventSink, JsonLinesSink, MemorySink};
 
@@ -429,9 +428,6 @@ mod tests {
         let _guard = lock();
         let collector = fresh();
         enable();
-        let mut c = Counter::new();
-        c.add(7);
-        c.emit("my_counter");
         let mut h = Histogram::new(vec![1.0]);
         h.record(0.5);
         h.record(3.0);
@@ -439,9 +435,8 @@ mod tests {
         disable();
         let events = collector.snapshot();
         clear_sinks();
-        assert_eq!(events[0].name, "my_counter");
-        assert_eq!(events[0].num("value"), Some(7.0));
-        assert_eq!(events[1].num("bucket0"), Some(1.0));
-        assert_eq!(events[1].num("bucket1"), Some(1.0));
+        assert_eq!(events[0].name, "my_hist");
+        assert_eq!(events[0].num("bucket0"), Some(1.0));
+        assert_eq!(events[0].num("bucket1"), Some(1.0));
     }
 }

@@ -1,73 +1,10 @@
-//! Metric primitives: counters, gauges, and a bucketed histogram with
-//! caller-chosen edges.
+//! Metric primitives: a bucketed histogram with caller-chosen edges.
 //!
-//! These are plain values, not global registries: passes and simulators
-//! accumulate locally (no locking on hot paths) and publish totals either
-//! as span counters or with [`Counter::emit`] / [`Gauge::emit`] /
-//! [`Histogram::emit`], which send one event through the global registry.
+//! It is a plain value, not a global registry: passes and simulators
+//! accumulate locally (no locking on hot paths) and publish totals with
+//! [`Histogram::emit`], which sends one event through the global registry.
 
 use crate::event::kind;
-
-/// A monotonic counter.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Counter {
-    value: u64,
-}
-
-impl Counter {
-    /// A zeroed counter.
-    pub fn new() -> Counter {
-        Counter::default()
-    }
-
-    /// Adds to the counter.
-    pub fn add(&mut self, delta: u64) {
-        self.value += delta;
-    }
-
-    /// Increments by one.
-    pub fn incr(&mut self) {
-        self.value += 1;
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.value
-    }
-
-    /// Publishes the current value as a `counter` event named `name`.
-    pub fn emit(&self, name: &str) {
-        crate::emit(kind::COUNTER, name, &[("value", self.value.into())]);
-    }
-}
-
-/// A last-value-wins gauge.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct Gauge {
-    value: f64,
-}
-
-impl Gauge {
-    /// A zeroed gauge.
-    pub fn new() -> Gauge {
-        Gauge::default()
-    }
-
-    /// Sets the gauge.
-    pub fn set(&mut self, value: f64) {
-        self.value = value;
-    }
-
-    /// Current value.
-    pub fn get(&self) -> f64 {
-        self.value
-    }
-
-    /// Publishes the current value as a `gauge` event named `name`.
-    pub fn emit(&self, name: &str) {
-        crate::emit(kind::GAUGE, name, &[("value", self.value.into())]);
-    }
-}
 
 /// A histogram over `edges.len() + 1` buckets: value `v` lands in the
 /// first bucket whose upper edge exceeds it; the last bucket is unbounded.
@@ -169,17 +106,6 @@ impl Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_and_gauge() {
-        let mut c = Counter::new();
-        c.incr();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-        let mut g = Gauge::new();
-        g.set(2.5);
-        assert_eq!(g.get(), 2.5);
-    }
 
     #[test]
     fn histogram_buckets_values() {

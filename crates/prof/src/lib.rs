@@ -13,8 +13,8 @@
 //!   returns the combined [`Profile`], exportable as a JSON tree or as
 //!   flamegraph-compatible collapsed-stack text. Worker threads adopt the
 //!   spawning thread's stack via [`current_context`]/[`ProfContext::attach`],
-//!   so a `par_map` issued under `run_app` attributes its workers' time to
-//!   `run_app`, not to a disconnected root.
+//!   so a `par_map` issued under `run_matrix` attributes its workers' time
+//!   to `run_matrix`, not to a disconnected root.
 //! * **Constant-memory streaming metrics** ([`hist`], [`stream`]) for the
 //!   simulator: log-bucketed (HDR-style) histograms, a bounded queue-depth
 //!   gauge sampled in simulated time, and per-RPM spinning-residency
@@ -40,9 +40,6 @@
 //! assert_eq!(profile.node(outer).count, 1);
 //! assert!(profile.find(&["outer", "inner"]).is_some());
 //! ```
-//!
-//! Environment contract (used by binaries via [`init_from_env`]):
-//! `DPM_PROF` unset/`0`/`off` → disabled; any other value → enabled.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -78,19 +75,6 @@ pub fn enable() {
 /// was armed at open time); new scopes are inert.
 pub fn disable() {
     ENABLED.store(false, Ordering::Relaxed);
-}
-
-/// Initializes from the environment: `DPM_PROF` unset/`0`/`off`/`false` →
-/// disabled, anything else → enabled. Returns whether profiling ended up
-/// enabled. Intended for binaries; libraries leave the decision to callers.
-pub fn init_from_env() -> bool {
-    match std::env::var("DPM_PROF") {
-        Ok(v) if !matches!(v.as_str(), "" | "0" | "off" | "false") => {
-            enable();
-            true
-        }
-        _ => false,
-    }
 }
 
 /// One node of a (local or merged) call tree. Index 0 is the synthetic

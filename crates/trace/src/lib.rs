@@ -130,10 +130,10 @@ impl TraceStats {
         }
     }
 
-    /// Folds another processor's per-phase deltas into this total. Both the
-    /// serial and the parallel generation paths accumulate per-processor
-    /// deltas and merge them in processor order, so the float association
-    /// (and hence the result) is identical at any thread count.
+    /// Folds another processor's per-phase deltas into this total. The
+    /// batch generator and [`GenStream`] both accumulate per-processor
+    /// deltas and merge them at each barrier in processor order, so the
+    /// float association (and hence the result) is the same in both.
     fn merge(&mut self, other: &TraceStats) {
         self.element_accesses += other.element_accesses;
         self.cache_hits += other.cache_hits;
@@ -153,10 +153,7 @@ impl TraceStats {
 /// boundary all processors synchronize (their virtual clocks advance to
 /// the laggard's). Single-processor orders normally use one phase;
 /// multi-processor parallelizations use one phase per loop nest.
-///
-/// `Sync` is a supertrait so the generator can stream several processors'
-/// iterations concurrently (orders are read-only during generation).
-pub trait ExecutionOrder: Sync {
+pub trait ExecutionOrder {
     /// Number of processors.
     fn num_procs(&self) -> u32;
     /// Number of barrier-separated phases (default 1).
@@ -390,11 +387,9 @@ impl<'p> TraceGenerator<'p> {
         sp.add("procs", u64::from(nprocs));
         sp.add("phases", order.num_phases() as u64);
         // Within a phase the processors are independent (they synchronize
-        // only at phase boundaries), so each phase fans the per-processor
-        // streams out through `dpm_exec::par_map_vec`. It returns states
-        // in processor order, and per-processor stat deltas are merged in
-        // that same order, so any thread count (including 1) produces
-        // identical traces and stats.
+        // only at phase boundaries), so each runs its whole phase in turn.
+        // Its stat deltas are merged in processor order, the association
+        // `GenStream::barrier` uses, so both generators agree bit for bit.
         let mut states: Vec<ProcState> = (0..nprocs).map(|proc| self.proc_state(proc)).collect();
         for phase in 0..order.num_phases() {
             // Device-sharing estimate for this phase: a processor's I/O
@@ -405,25 +400,14 @@ impl<'p> TraceGenerator<'p> {
             // contention, while a naive parallelization in which every
             // processor sweeps every disk pays the full factor.
             let footprints = self.phase_footprints(order, phase);
-            let ran = dpm_exec::par_map_vec(std::mem::take(&mut states), |proc, mut st| {
+            for (proc, st) in states.iter_mut().enumerate() {
                 let contention = contention_factor(&footprints, proc);
                 let mut delta = TraceStats::default();
                 order.for_each_in_phase(phase, proc as u32, &mut |nest, iter| {
-                    self.execute_iteration(
-                        nest,
-                        iter,
-                        proc as u32,
-                        contention,
-                        &mut st,
-                        &mut delta,
-                    );
+                    self.execute_iteration(nest, iter, proc as u32, contention, st, &mut delta);
                 });
-                self.flush_all(proc as u32, contention, &mut st, &mut delta);
-                (st, delta)
-            });
-            for (st, delta) in ran {
+                self.flush_all(proc as u32, contention, st, &mut delta);
                 stats.merge(&delta);
-                states.push(st);
             }
             // Barrier: synchronize clocks.
             let max_clock = states.iter().map(|s| s.clock_ms).fold(0.0_f64, f64::max);
@@ -444,24 +428,25 @@ impl<'p> TraceGenerator<'p> {
     /// `footprints[proc][disk]`. A single processor shares nothing, so its
     /// footprint is left empty.
     fn phase_footprints(&self, order: &dyn ExecutionOrder, phase: usize) -> Vec<Vec<bool>> {
-        let nprocs = order.num_procs() as usize;
+        let nprocs = order.num_procs();
         if nprocs == 1 {
             return vec![Vec::new()];
         }
         let striping = self.layout.striping();
-        let procs: Vec<u32> = (0..nprocs as u32).collect();
-        dpm_exec::par_map_indexed(&procs, |_, &proc| {
-            let mut touched = vec![false; striping.num_disks()];
-            order.for_each_in_phase(phase, proc, &mut |nest, iter| {
-                for stmt in self.compiled.nest(nest) {
-                    for r in &stmt.refs {
-                        let offset = r.offset(self.program, self.layout, iter);
-                        touched[striping.disk_of_offset(offset)] = true;
+        (0..nprocs)
+            .map(|proc| {
+                let mut touched = vec![false; striping.num_disks()];
+                order.for_each_in_phase(phase, proc, &mut |nest, iter| {
+                    for stmt in self.compiled.nest(nest) {
+                        for r in &stmt.refs {
+                            let offset = r.offset(self.program, self.layout, iter);
+                            touched[striping.disk_of_offset(offset)] = true;
+                        }
                     }
-                }
-            });
-            touched
-        })
+                });
+                touched
+            })
+            .collect()
     }
 
     fn execute_iteration(

@@ -46,7 +46,8 @@ run cargo clippy --offline --workspace --lib -- \
 # malformed program fails the build before any benchmark runs. The Large
 # run proves legal, at the benchmark's own scale, four of the five
 # schedule shapes figure9-large simulates (all but the unclustered
-# 4-processor baseline).
+# 4-processor baseline). The apps are analyzed concurrently on the
+# DPM_THREADS pool; each app's schedules are built and verified serially.
 run ./target/release/dpm-analyze tiny results/ANALYZE_tiny.json
 run ./target/release/dpm-analyze large results/ANALYZE_large.json
 

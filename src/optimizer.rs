@@ -108,18 +108,18 @@ pub fn evaluate(
 }
 
 /// Exhaustively evaluates the search space for one fixed transform,
-/// returning candidates sorted by energy (best first).
+/// returning candidates sorted by energy (best first). The candidates are
+/// evaluated in parallel on the `DPM_THREADS` pool and come back in
+/// candidate order, so the stable sort ranks ties as a serial sweep would.
 pub fn optimize_layout(
     program: &Program,
     space: &LayoutSearchSpace,
     transform: Transform,
     policy: PowerPolicy,
 ) -> Vec<LayoutCandidate> {
-    let mut out: Vec<LayoutCandidate> = space
-        .candidates()
-        .into_iter()
-        .map(|s| evaluate(program, s, transform, policy))
-        .collect();
+    let mut out = dpm_exec::par_map_vec(space.candidates(), |_, s| {
+        evaluate(program, s, transform, policy)
+    });
     out.sort_by(|a, b| a.energy_j.total_cmp(&b.energy_j));
     out
 }
@@ -485,14 +485,28 @@ mod tests {
             num_disks: vec![4],
             start_disks: vec![0],
         };
-        let ranked = optimize_layout(
-            &p,
-            &space,
-            Transform::DiskReuse,
-            PowerPolicy::Tpm(TpmConfig::proactive()),
-        );
+        let rank = |threads| {
+            dpm_exec::with_env_threads(threads, || {
+                optimize_layout(
+                    &p,
+                    &space,
+                    Transform::DiskReuse,
+                    PowerPolicy::Tpm(TpmConfig::proactive()),
+                )
+            })
+        };
+        let ranked = rank(1);
         assert_eq!(ranked.len(), 2);
         assert!(ranked[0].energy_j <= ranked[1].energy_j);
+        // The candidate map is ordered, so the ranking does not depend on
+        // the thread count.
+        let bits = |ranked: &[LayoutCandidate]| -> Vec<(Striping, u64)> {
+            ranked
+                .iter()
+                .map(|c| (c.striping, c.energy_j.to_bits()))
+                .collect()
+        };
+        assert_eq!(bits(&ranked), bits(&rank(8)));
     }
 
     #[test]

@@ -12,22 +12,20 @@ fn test_striping() -> Striping {
     Striping::new(8 << 10, 4, 0)
 }
 
-/// A trace built through the full compiler half of the pipeline, serially,
-/// so simulator runs have a fixed input.
+/// A trace built through the full compiler half of the pipeline, so
+/// simulator runs have a fixed input.
 fn test_trace() -> Trace {
-    dpm_exec::serial_scope(|| {
-        let program = parse_program(
-            "program faults; array A[96][32] : f64; array B[96][32] : f64;
-             nest L1 { for i = 0 .. 95 { for j = 0 .. 31 { A[i][j] = B[i][j] + 1; } } }
-             nest L2 { for i = 0 .. 95 { for j = 0 .. 31 { B[i][j] = A[i][j] * 2; } } }",
-        )
-        .expect("test program parses");
-        let layout = LayoutMap::new(&program, test_striping());
-        let deps = analyze(&program);
-        let schedule = restructure_single(&program, &layout, &deps);
-        let gen = TraceGenerator::new(&program, &layout, TraceGenOptions::default());
-        gen.generate(&schedule).0
-    })
+    let program = parse_program(
+        "program faults; array A[96][32] : f64; array B[96][32] : f64;
+         nest L1 { for i = 0 .. 95 { for j = 0 .. 31 { A[i][j] = B[i][j] + 1; } } }
+         nest L2 { for i = 0 .. 95 { for j = 0 .. 31 { B[i][j] = A[i][j] * 2; } } }",
+    )
+    .expect("test program parses");
+    let layout = LayoutMap::new(&program, test_striping());
+    let deps = analyze(&program);
+    let schedule = restructure_single(&program, &layout, &deps);
+    let gen = TraceGenerator::new(&program, &layout, TraceGenOptions::default());
+    gen.generate(&schedule).0
 }
 
 /// Field-by-field `SimReport` equality with floats compared *bitwise* —

@@ -105,9 +105,16 @@ fn check_golden(name: &str, fresh: &Json) {
     );
 }
 
+/// `analyze_suite` maps its apps on the `DPM_THREADS` pool; the report
+/// must match the golden whether they run serially or on 8 threads.
 #[test]
 fn analyze_tiny_matches_golden() {
-    check_golden("analyze_tiny.json", &build_analyze());
+    for threads in [1, 8] {
+        check_golden(
+            "analyze_tiny.json",
+            &dpm_exec::with_env_threads(threads, build_analyze),
+        );
+    }
 }
 
 /// The report is bit-stable across runs in one process — a prerequisite

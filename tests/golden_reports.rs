@@ -31,120 +31,114 @@ fn golden_path(name: &str) -> PathBuf {
 /// Base cell per application, single processor, default (zero-fault)
 /// configuration.
 fn build_table2() -> Json {
-    dpm_exec::serial_scope(|| {
-        let config = ExperimentConfig::default();
-        let mut report = RunReport::new("table2")
-            .with_config(&config)
-            .with_field("scale", Json::Str("Tiny".into()));
-        let cells: Vec<MatrixCell> = dpm_apps::suite(Scale::Tiny)
-            .into_iter()
-            .map(|app| MatrixCell {
-                app,
-                versions: vec![Version::Base],
-                procs: 1,
-            })
-            .collect();
-        for res in &run_matrix(cells, &config) {
-            report.push_app(res);
-        }
-        report.to_json()
-    })
+    let config = ExperimentConfig::default();
+    let mut report = RunReport::new("table2")
+        .with_config(&config)
+        .with_field("scale", Json::Str("Tiny".into()));
+    let cells: Vec<MatrixCell> = dpm_apps::suite(Scale::Tiny)
+        .into_iter()
+        .map(|app| MatrixCell {
+            app,
+            versions: vec![Version::Base],
+            procs: 1,
+        })
+        .collect();
+    for res in &run_matrix(cells, &config) {
+        report.push_app(res);
+    }
+    report.to_json()
 }
 
 /// Mirrors the `figure9` binary's report construction at Tiny scale:
 /// part (a) single-processor versions, part (b) four-processor versions.
 fn build_figure9() -> Json {
-    dpm_exec::serial_scope(|| {
-        let config = ExperimentConfig::default();
-        let mut report = RunReport::new("figure9")
-            .with_config(&config)
-            .with_field("scale", Json::Str("Tiny".into()));
-        for (procs, versions) in [
-            (1u32, Version::single_cpu().to_vec()),
-            (4u32, Version::multi_cpu().to_vec()),
-        ] {
-            let cells: Vec<MatrixCell> = dpm_apps::suite(Scale::Tiny)
-                .into_iter()
-                .map(|app| MatrixCell {
-                    app,
-                    versions: versions.clone(),
-                    procs,
-                })
-                .collect();
-            for res in &run_matrix(cells, &config) {
-                report.push_app(res);
-            }
+    let config = ExperimentConfig::default();
+    let mut report = RunReport::new("figure9")
+        .with_config(&config)
+        .with_field("scale", Json::Str("Tiny".into()));
+    for (procs, versions) in [
+        (1u32, Version::single_cpu().to_vec()),
+        (4u32, Version::multi_cpu().to_vec()),
+    ] {
+        let cells: Vec<MatrixCell> = dpm_apps::suite(Scale::Tiny)
+            .into_iter()
+            .map(|app| MatrixCell {
+                app,
+                versions: versions.clone(),
+                procs,
+            })
+            .collect();
+        for res in &run_matrix(cells, &config) {
+            report.push_app(res);
         }
-        report.to_json()
-    })
+    }
+    report.to_json()
 }
 
 /// The tier-sweep golden: every application of the Tiny suite through the
 /// four placement scenarios, with per-tier energy/busy/standby/migration
 /// counters and the full promote/demote sequence of the migrated run.
 fn build_tier() -> Json {
-    dpm_exec::serial_scope(|| {
-        let config = dpm_bench::TierSweepConfig::default();
-        let sweep = dpm_bench::run_tier_suite(Scale::Tiny, &config);
-        let apps: Vec<Json> = sweep
-            .iter()
-            .map(|app| {
-                let scenarios: Vec<Json> = app
-                    .results
-                    .iter()
-                    .map(|r| {
-                        let mut fields = vec![
-                            ("scenario".to_string(), Json::Str(r.scenario.label().into())),
-                            ("energy_j".to_string(), Json::F64(r.energy_j)),
-                            ("app_requests".to_string(), Json::U64(r.report.app_requests)),
-                        ];
-                        if let Some(t) = &r.report.tiers {
-                            let per_tier: Vec<Json> = t
-                                .per_tier
-                                .iter()
-                                .map(|ts| {
-                                    Json::obj(vec![
-                                        ("class", Json::Str(ts.class.into())),
-                                        ("disks", Json::U64(ts.disks as u64)),
-                                        ("energy_j", Json::F64(ts.energy_j)),
-                                        ("busy_ms", Json::F64(ts.busy_ms)),
-                                        ("standby_ms", Json::F64(ts.standby_ms)),
-                                        ("spin_downs", Json::U64(ts.spin_downs)),
-                                        ("migration_requests", Json::U64(ts.migration_requests)),
-                                        ("migration_bytes", Json::U64(ts.migration_bytes)),
-                                    ])
-                                })
-                                .collect();
-                            fields.push(("per_tier".to_string(), Json::Arr(per_tier)));
-                            let events: Vec<Json> = t
-                                .events
-                                .iter()
-                                .map(|e| {
-                                    Json::obj(vec![
-                                        ("at_request", Json::U64(e.at_request)),
-                                        ("array", Json::U64(e.array as u64)),
-                                        ("from_tier", Json::U64(e.from_tier as u64)),
-                                        ("to_tier", Json::U64(e.to_tier as u64)),
-                                        ("bytes", Json::U64(e.bytes)),
-                                    ])
-                                })
-                                .collect();
-                            fields.push(("migrations".to_string(), Json::Arr(events)));
-                        }
-                        Json::Obj(fields)
-                    })
-                    .collect();
-                Json::obj(vec![
-                    ("app", Json::Str(app.app.into())),
-                    ("scenarios", Json::Arr(scenarios)),
-                ])
-            })
-            .collect();
-        Json::obj(vec![
-            ("title", Json::Str("tier_tiny".into())),
-            ("apps", Json::Arr(apps)),
-        ])
-    })
+    let config = dpm_bench::TierSweepConfig::default();
+    let sweep = dpm_bench::run_tier_suite(Scale::Tiny, &config);
+    let apps: Vec<Json> = sweep
+        .iter()
+        .map(|app| {
+            let scenarios: Vec<Json> = app
+                .results
+                .iter()
+                .map(|r| {
+                    let mut fields = vec![
+                        ("scenario".to_string(), Json::Str(r.scenario.label().into())),
+                        ("energy_j".to_string(), Json::F64(r.energy_j)),
+                        ("app_requests".to_string(), Json::U64(r.report.app_requests)),
+                    ];
+                    if let Some(t) = &r.report.tiers {
+                        let per_tier: Vec<Json> = t
+                            .per_tier
+                            .iter()
+                            .map(|ts| {
+                                Json::obj(vec![
+                                    ("class", Json::Str(ts.class.into())),
+                                    ("disks", Json::U64(ts.disks as u64)),
+                                    ("energy_j", Json::F64(ts.energy_j)),
+                                    ("busy_ms", Json::F64(ts.busy_ms)),
+                                    ("standby_ms", Json::F64(ts.standby_ms)),
+                                    ("spin_downs", Json::U64(ts.spin_downs)),
+                                    ("migration_requests", Json::U64(ts.migration_requests)),
+                                    ("migration_bytes", Json::U64(ts.migration_bytes)),
+                                ])
+                            })
+                            .collect();
+                        fields.push(("per_tier".to_string(), Json::Arr(per_tier)));
+                        let events: Vec<Json> = t
+                            .events
+                            .iter()
+                            .map(|e| {
+                                Json::obj(vec![
+                                    ("at_request", Json::U64(e.at_request)),
+                                    ("array", Json::U64(e.array as u64)),
+                                    ("from_tier", Json::U64(e.from_tier as u64)),
+                                    ("to_tier", Json::U64(e.to_tier as u64)),
+                                    ("bytes", Json::U64(e.bytes)),
+                                ])
+                            })
+                            .collect();
+                        fields.push(("migrations".to_string(), Json::Arr(events)));
+                    }
+                    Json::Obj(fields)
+                })
+                .collect();
+            Json::obj(vec![
+                ("app", Json::Str(app.app.into())),
+                ("scenarios", Json::Arr(scenarios)),
+            ])
+        })
+        .collect();
+    Json::obj(vec![
+        ("title", Json::Str("tier_tiny".into())),
+        ("apps", Json::Arr(apps)),
+    ])
 }
 
 /// Keys excluded from comparison: run ids differ per process, and pass

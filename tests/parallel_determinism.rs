@@ -1,75 +1,9 @@
 //! Parallel == serial determinism suite for the `dpm-exec` execution layer.
 //!
-//! The execution layer promises *bit-for-bit* reproducibility:
-//! parallelizing the Q_d clustering, fanning the trace generator across
-//! processors, or running experiment cells concurrently must never change
-//! a single output byte. These tests pin that contract at several thread
-//! counts, and check that worker panics propagate instead of vanishing.
-
-use disk_reuse::prelude::*;
-
-/// A small multi-nest program whose arrays stripe across several disks.
-fn test_program() -> Program {
-    parse_program(
-        "program det; array A[96][32] : f64; array B[96][32] : f64;
-         nest L1 { for i = 0 .. 95 { for j = 0 .. 31 { A[i][j] = B[i][j] + 1; } } }
-         nest L2 { for i = 0 .. 95 { for j = 0 .. 31 { B[i][j] = A[i][j] * 2; } } }",
-    )
-    .expect("test program parses")
-}
-
-fn test_striping() -> Striping {
-    Striping::new(8 << 10, 4, 0)
-}
-
-/// The compiler half of the pipeline: Q_d clustering (`restructure_single`)
-/// and trace generation read `DPM_THREADS`. The schedule and trace must be
-/// identical at 1, 2 and 8 threads.
-#[test]
-fn restructure_and_trace_deterministic_across_thread_counts() {
-    let program = test_program();
-    let layout = LayoutMap::new(&program, test_striping());
-    let deps = analyze(&program);
-
-    // Baseline: force everything through the serial path.
-    let (base_schedule, base_trace, base_stats) = dpm_exec::serial_scope(|| {
-        let schedule = restructure_single(&program, &layout, &deps);
-        let gen = TraceGenerator::new(&program, &layout, TraceGenOptions::default());
-        let (trace, stats) = gen.generate(&schedule);
-        (schedule, trace, stats)
-    });
-    assert!(base_schedule.num_phases() > 0);
-    assert!(!base_trace.is_empty());
-
-    for threads in [1, 2, 8] {
-        dpm_exec::with_env_threads(threads, || {
-            let schedule = restructure_single(&program, &layout, &deps);
-            assert_eq!(
-                schedule.num_phases(),
-                base_schedule.num_phases(),
-                "DPM_THREADS={threads}: phase count"
-            );
-            for phase in 0..schedule.num_phases() {
-                assert_eq!(
-                    schedule.iters(phase, 0),
-                    base_schedule.iters(phase, 0),
-                    "DPM_THREADS={threads}: schedule differs in phase {phase}"
-                );
-            }
-            let gen = TraceGenerator::new(&program, &layout, TraceGenOptions::default());
-            let (trace, stats) = gen.generate(&schedule);
-            assert_eq!(
-                trace.requests(),
-                base_trace.requests(),
-                "DPM_THREADS={threads}: generated trace differs"
-            );
-            assert_eq!(
-                stats, base_stats,
-                "DPM_THREADS={threads}: trace stats differ"
-            );
-        });
-    }
-}
+//! The execution layer promises *bit-for-bit* reproducibility: running
+//! experiment cells concurrently must never change a single output byte.
+//! These tests pin that contract at several thread counts, and check that
+//! worker panics propagate instead of vanishing.
 
 /// A worker panic must surface in the caller with its payload intact — a
 /// silently swallowed panic would let a half-computed experiment masquerade
@@ -126,13 +60,11 @@ fn stealing_matches_serial_with_pinned_slow_cell() {
         // flip low-order bits and fail the comparison below.
         (0..64).fold(x as f64, |acc, k| acc * 1.000_1 + (k as f64) * 0.1)
     };
-    let serial: Vec<u64> = dpm_exec::serial_scope(|| {
-        items
-            .iter()
-            .enumerate()
-            .map(|(i, x)| cell(i, x).to_bits())
-            .collect()
-    });
+    let serial: Vec<u64> = items
+        .iter()
+        .enumerate()
+        .map(|(i, x)| cell(i, x).to_bits())
+        .collect();
     for threads in [1usize, 2, 8] {
         let parallel: Vec<u64> = dpm_exec::Pool::new(threads)
             .map_indexed(&items, cell)

@@ -53,12 +53,8 @@ fn bitset_scheduler_is_bit_identical_across_suite() {
         let layout = LayoutMap::new(&program, paper_striping());
         let deps = analyze(&program);
 
-        let (fast, reference) = dpm_exec::serial_scope(|| {
-            (
-                restructure_single(&program, &layout, &deps),
-                restructure_single_reference(&program, &layout, &deps),
-            )
-        });
+        let fast = restructure_single(&program, &layout, &deps);
+        let reference = restructure_single_reference(&program, &layout, &deps);
         assert_eq!(
             fast.num_phases(),
             reference.num_phases(),
@@ -72,10 +68,9 @@ fn bitset_scheduler_is_bit_identical_across_suite() {
             );
         }
 
-        let ((trace_fast, stats_fast), (trace_ref, stats_ref)) = dpm_exec::serial_scope(|| {
-            let gen = TraceGenerator::new(&program, &layout, TraceGenOptions::default());
-            (gen.generate(&fast), gen.generate(&reference))
-        });
+        let gen = TraceGenerator::new(&program, &layout, TraceGenOptions::default());
+        let (trace_fast, stats_fast) = gen.generate(&fast);
+        let (trace_ref, stats_ref) = gen.generate(&reference);
         assert_eq!(
             trace_fast.requests(),
             trace_ref.requests(),

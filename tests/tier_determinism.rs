@@ -15,27 +15,25 @@ use disk_reuse::prelude::*;
 use dpm_bench::TierSweepConfig;
 use dpm_disksim::MigrationEvent;
 
-/// One app's restructured Tiny trace on the sweep's flat striping,
-/// built serially so every test sees the same input.
+/// One app's restructured Tiny trace on the sweep's flat striping: the
+/// same input for every test.
 fn tiny_trace(app: &str, config: &TierSweepConfig) -> (Program, LayoutMap, Trace) {
-    dpm_exec::serial_scope(|| {
-        let app = by_name(app, Scale::Tiny).expect("unknown app");
-        let program = app.program();
-        let striping = config.striping();
-        let layout = LayoutMap::new(&program, striping);
-        let deps = analyze(&program);
-        let schedule = apply_transform(&program, &layout, &deps, Transform::DiskReuse);
-        let gen = TraceGenerator::new(
-            &program,
-            &layout,
-            TraceGenOptions {
-                max_request_bytes: striping.stripe_unit(),
-                ..TraceGenOptions::default()
-            },
-        );
-        let trace = gen.generate(&schedule).0;
-        (program, layout, trace)
-    })
+    let app = by_name(app, Scale::Tiny).expect("unknown app");
+    let program = app.program();
+    let striping = config.striping();
+    let layout = LayoutMap::new(&program, striping);
+    let deps = analyze(&program);
+    let schedule = apply_transform(&program, &layout, &deps, Transform::DiskReuse);
+    let gen = TraceGenerator::new(
+        &program,
+        &layout,
+        TraceGenOptions {
+            max_request_bytes: striping.stripe_unit(),
+            ..TraceGenOptions::default()
+        },
+    );
+    let trace = gen.generate(&schedule).0;
+    (program, layout, trace)
 }
 
 /// The heterogeneous tier setup of the sweep for one app's volume, with
