@@ -6,11 +6,11 @@
 //! The histograms are built from the instrumentation stream, not from
 //! simulator internals: per-disk timelines are rebuilt from `disk_state`
 //! events ([`dpm_disksim::timelines_from_events`]) and the non-busy gaps
-//! between service periods are bucketed with the generalized
-//! [`dpm_obs::Histogram`] (paper edges by default). Gap lengths measured
-//! this way include any spin-up/speed-change stall inside the gap, so
-//! counts can differ slightly from the simulator's arrival-gap histogram
-//! near bucket edges.
+//! between service periods are bucketed into the paper's edges with
+//! [`IdleHistogram`]. Gap lengths measured this way include any
+//! spin-up/speed-change stall inside the gap, so counts can differ
+//! slightly from the simulator's arrival-gap histogram near bucket
+//! edges.
 //!
 //! Traces flow through the streaming pipeline ([`run_app_streamed`]):
 //! each schedule shape spills once through the binary codec and replays
@@ -22,12 +22,11 @@
 
 use dpm_apps::Scale;
 use dpm_bench::{run_app_streamed, ExperimentConfig, Version};
-use dpm_disksim::{timelines_from_events, Span, SpanState};
-use dpm_obs::Histogram;
+use dpm_disksim::{timelines_from_events, IdleHistogram, Span, SpanState};
 
 /// Records every maximal non-busy interval of a timeline (leading and
 /// trailing gaps included, matching the simulator's accounting).
-fn record_gaps(spans: &[Span], h: &mut Histogram) {
+fn record_gaps(spans: &[Span], h: &mut IdleHistogram) {
     let mut gap: Option<(f64, f64)> = None;
     for s in spans {
         if s.state == SpanState::Busy {
@@ -64,7 +63,6 @@ fn main() {
     };
     let config = ExperimentConfig::default();
     let num_disks = config.striping.num_disks();
-    let template = Histogram::idle_period_ms();
     for app in &apps {
         for procs in [1u32, 4] {
             let versions = if procs == 1 {
@@ -79,12 +77,12 @@ fn main() {
                 app.name, procs
             );
             print!("{:<10}", "version");
-            for i in 0..template.counts().len() {
-                print!(" {:>9}", template.label(i));
+            for label in IdleHistogram::LABELS {
+                print!(" {label:>9}");
             }
             println!("  {:>11}", "spin-worthy");
             for r in &res.results {
-                let mut h = Histogram::idle_period_ms();
+                let mut h = IdleHistogram::default();
                 let timelines = timelines_from_events(
                     &events,
                     r.report.obs_run,
@@ -98,9 +96,7 @@ fn main() {
                 for c in h.counts() {
                     print!(" {c:>9}");
                 }
-                // Spin-worthy = at or above the TPM break-even edge (15.2 s).
-                let spin_worthy: u64 = h.counts()[4..].iter().sum();
-                println!("  {spin_worthy:>11}");
+                println!("  {:>11}", h.spin_down_candidates());
             }
             collector.clear();
         }

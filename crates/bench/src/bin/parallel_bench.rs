@@ -6,11 +6,11 @@
 //! 1. **Serial** — pinned to the serial path; the canonical result set.
 //! 2. **Parallel** — at `DPM_THREADS` width; must be byte-identical to
 //!    the serial pass (floats compared by bit pattern).
-//! 3. **Profiled** — parallel again with `dpm-prof` enabled; must *still*
-//!    be byte-identical (profiling cannot perturb simulation output), must
-//!    attribute ≥95% of the pass's wall time to named scopes, and exports
-//!    the call tree to `results/PROF_<scale>.json` plus
-//!    flamegraph-collapsed stacks to `results/PROF_<scale>.txt`.
+//! 3. **Profiled** — parallel again with the `dpm_obs::prof` recorder
+//!    enabled; must *still* be byte-identical (profiling cannot perturb
+//!    simulation output), must attribute ≥95% of the pass's wall time to
+//!    named spans, and exports the call tree to `results/PROF_<scale>.json`
+//!    plus flamegraph-collapsed stacks to `results/PROF_<scale>.txt`.
 //!
 //! Plus two microbenches of the execution layer itself:
 //!
@@ -39,7 +39,7 @@ use dpm_bench::{
     run_matrix, AppResults, BenchRecord, ExperimentConfig, GateStatus, MatrixCell, Version,
 };
 use dpm_layout::Striping;
-use dpm_obs::Json;
+use dpm_obs::{prof, Json};
 use dpm_poly::{Constraint, LinExpr, Polyhedron, Set};
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -48,7 +48,7 @@ use std::time::Instant;
 const MIN_CORES_FOR_SPEEDUP_GATE: usize = 4;
 
 /// The profiled pass must attribute at least this fraction of its wall
-/// time to named scopes.
+/// time to named spans.
 const MIN_PROF_COVERAGE: f64 = 0.95;
 
 /// Minimum skew-microbench speedup on hosts where the gate is enforced:
@@ -317,14 +317,14 @@ fn main() {
     }
 
     // ---- profiled pass -------------------------------------------------
-    dpm_prof::reset();
-    dpm_prof::enable();
+    prof::reset();
+    prof::enable();
     let t = Instant::now();
     let profiled = run_matrix(cells(scale), &config);
     let profiled_ms = t.elapsed().as_secs_f64() * 1e3;
-    let profile = dpm_prof::snapshot();
-    dpm_prof::disable();
-    dpm_prof::reset();
+    let profile = prof::snapshot();
+    prof::disable();
+    prof::reset();
 
     let profiled_same = reference == canonical(&profiled);
     let coverage = profile.total_ns() as f64 / (profiled_ms * 1e6);
@@ -352,7 +352,7 @@ fn main() {
         record.gate(
             "prof_coverage_95pct",
             GateStatus::Pass,
-            format!("{:.1}% of wall time in named scopes", coverage * 100.0),
+            format!("{:.1}% of wall time in named spans", coverage * 100.0),
         );
     } else {
         eprintln!(
@@ -364,7 +364,7 @@ fn main() {
         record.gate(
             "prof_coverage_95pct",
             GateStatus::Fail,
-            format!("{:.1}% of wall time in named scopes", coverage * 100.0),
+            format!("{:.1}% of wall time in named spans", coverage * 100.0),
         );
         failures += 1;
     }

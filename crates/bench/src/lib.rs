@@ -269,7 +269,6 @@ pub struct MatrixCell {
 pub fn run_matrix(cells: Vec<MatrixCell>, config: &ExperimentConfig) -> Vec<AppResults> {
     let mut sp = dpm_obs::span!("experiment_matrix");
     sp.add("cells", cells.len() as u64);
-    let _prof = dpm_prof::scope("run_matrix");
     dpm_exec::par_map_vec(cells, |_, c| run_app(&c.app, &c.versions, c.procs, config))
 }
 
@@ -279,7 +278,6 @@ pub fn run_matrix(cells: Vec<MatrixCell>, config: &ExperimentConfig) -> Vec<AppR
 pub fn run_matrix_streamed(cells: Vec<MatrixCell>, config: &ExperimentConfig) -> Vec<AppResults> {
     let mut sp = dpm_obs::span!("experiment_matrix_streamed");
     sp.add("cells", cells.len() as u64);
-    let _prof = dpm_prof::scope("run_matrix_streamed");
     dpm_exec::par_map_vec(cells, |_, c| {
         run_app_streamed(&c.app, &c.versions, c.procs, config)
     })
@@ -293,7 +291,7 @@ pub fn build_schedule(
     shape: ScheduleShape,
     procs: u32,
 ) -> Schedule {
-    let _prof = dpm_prof::scope("build_schedule");
+    let _sp = dpm_obs::span!("build_schedule");
     let transform = match (shape, procs) {
         (ScheduleShape::Plain, 1) => Transform::Original,
         (ScheduleShape::ClusteredS, 1) | (ScheduleShape::ClusteredM, 1) => Transform::DiskReuse,
@@ -324,7 +322,7 @@ pub fn run_app(
     procs: u32,
     config: &ExperimentConfig,
 ) -> AppResults {
-    let _prof = dpm_prof::scope("run_app");
+    let _sp = dpm_obs::span!("run_app");
     let program = app.program();
     let layout = LayoutMap::new(&program, config.striping);
     let deps = dpm_ir::analyze(&program);
@@ -399,7 +397,7 @@ impl SpilledTrace {
     ///
     /// Panics if the OS temp directory refuses the spill file.
     pub fn spill(gen: &TraceGenerator<'_>, schedule: &Schedule) -> SpilledTrace {
-        let _prof = dpm_prof::scope("trace_spill");
+        let _sp = dpm_obs::span!("trace_spill");
         let path = spill_path();
         let file = std::fs::File::create(&path)
             .unwrap_or_else(|e| panic!("create spill file {}: {e}", path.display()));
@@ -442,7 +440,7 @@ impl SpilledTrace {
     /// cannot be written.
     pub fn merge(parts: &[&SpilledTrace], stagger_ms: f64) -> SpilledTrace {
         use dpm_disksim::RequestStream;
-        let _prof = dpm_prof::scope("trace_spill_merge");
+        let _sp = dpm_obs::span!("trace_spill_merge");
         // Pass 1: each part's address-range and processor-id extents, which
         // set the *next* part's relocation bases (exactly `Trace::merged`).
         let mut shifts = Vec::with_capacity(parts.len());
@@ -548,7 +546,7 @@ pub fn run_app_streamed(
     procs: u32,
     config: &ExperimentConfig,
 ) -> AppResults {
-    let _prof = dpm_prof::scope("run_app_streamed");
+    let _sp = dpm_obs::span!("run_app_streamed");
     let program = app.program();
     let layout = LayoutMap::new(&program, config.striping);
     let deps = dpm_ir::analyze(&program);

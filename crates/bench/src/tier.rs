@@ -190,7 +190,7 @@ pub fn run_tier_app(
     scenarios: &[TierScenario],
     config: &TierSweepConfig,
 ) -> TierAppResults {
-    let _prof = dpm_prof::scope("run_tier_app");
+    let _sp = dpm_obs::span!("run_tier_app");
     let program = app.program();
     let striping = config.striping();
     let layout = LayoutMap::new(&program, striping);
@@ -288,7 +288,6 @@ pub fn run_tier_suite(scale: dpm_apps::Scale, config: &TierSweepConfig) -> Vec<T
     let mut sp = dpm_obs::span!("tier_sweep");
     let apps = dpm_apps::suite(scale);
     sp.add("apps", apps.len() as u64);
-    let _prof = dpm_prof::scope("run_tier_suite");
     let cfg = *config;
     dpm_exec::par_map_vec(apps, move |_, app| {
         run_tier_app(&app, &TierScenario::all(), &cfg)

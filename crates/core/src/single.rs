@@ -114,7 +114,6 @@ fn iter_ready(
 fn compute_masks(program: &Program, layout: &LayoutMap, tables: &[NestTable]) -> Vec<u64> {
     let mut qd = dpm_obs::span!("q_d_compute");
     qd.add("nests", tables.len() as u64);
-    let _prof = dpm_prof::scope("qd_masks");
     let compiled = CompiledProgram::new(program);
     let mut buf = [0i64; CompactIter::MAX_DEPTH];
     let mut masks = Vec::with_capacity(tables.iter().map(|t| t.iters.len()).sum());
@@ -132,7 +131,7 @@ fn compute_masks(program: &Program, layout: &LayoutMap, tables: &[NestTable]) ->
 /// processor, clustering accesses disk by disk while honouring data
 /// dependences.
 ///
-/// The per-disk pools `Q_d` are held as [`IdBitset`]s over global iteration
+/// The per-disk pools `Q_d` are held as `IdBitset`s over global iteration
 /// ids, so a disk pass visits only the iterations with affinity to that
 /// disk instead of filtering the whole pool per pass; the schedule produced
 /// is bit-identical to [`restructure_single_reference`], which keeps the
@@ -157,7 +156,6 @@ pub fn restructure_single(
     deps: &DependenceInfo,
 ) -> Schedule {
     let mut sp = dpm_obs::span!("single_cpu_schedule");
-    let _prof = dpm_prof::scope("restructure_single");
     let tables = build_tables(program, deps);
     let total: usize = tables.iter().map(|t| t.iters.len()).sum();
     let num_disks = layout.striping().num_disks();

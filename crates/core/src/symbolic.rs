@@ -255,7 +255,7 @@ pub fn disk_iteration_sets(
     if !layout.is_one_to_one() {
         return Err(SymbolicError::RelaxedMapping);
     }
-    let _prof = dpm_prof::scope("qd_footprints");
+    let _sp = dpm_obs::span!("qd_footprints");
     let num_disks = layout.striping().num_disks();
     (0..num_disks)
         .map(|d| {

@@ -1,10 +1,10 @@
 //! Per-disk (per-I/O-node) simulation: service-time accounting, energy
 //! integration, and the TPM / DRPM power-management state machines.
 
+use crate::metrics::DiskStreamMetrics;
 use crate::params::{DirectiveConfig, DiskParams, DrpmConfig, PowerPolicy, RaidConfig, TpmConfig};
 use crate::stats::{DiskStats, IdleHistogram, Span, SpanState};
 use dpm_faults::{FaultInjector, RetryPolicy};
-use dpm_prof::DiskStreamMetrics;
 
 /// One contiguous piece of an application request on a single disk.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -259,7 +259,7 @@ impl DiskSim {
             if !failed {
                 break;
             }
-            let _prof = dpm_prof::scope("fault_retry");
+            let _sp = dpm_obs::span!("fault_retry");
             self.stats.faults += 1;
             let at = self.span_cursor;
             self.emit_fault(dpm_obs::kind::FAULT, "transient_error", at, &[]);
@@ -468,7 +468,7 @@ impl DiskSim {
                 .as_mut()
                 .is_some_and(FaultInjector::spin_up_fails)
             {
-                let _prof = dpm_prof::scope("fault_retry");
+                let _sp = dpm_obs::span!("fault_retry");
                 self.stats.faults += 1;
                 let at = self.span_cursor;
                 self.emit_fault(dpm_obs::kind::FAULT, "spin_up_failure", at, &[]);

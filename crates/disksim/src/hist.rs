@@ -8,6 +8,12 @@
 //! error of `2^-sub_bits` at a few kilobytes of fixed storage — the
 //! classic HDR-histogram layout, reduced to what the simulator needs.
 //!
+//! It sits beside [`IdleHistogram`](crate::IdleHistogram) because the two
+//! answer different questions. `IdleHistogram` counts idle periods into
+//! the paper's fixed buckets, whose edges (the TPM break-even among them)
+//! must be exact; a `LogHistogram` reports quantiles of values with no
+//! known range (service times, spin-up stalls) at bounded relative error.
+//!
 //! Merging is exact (per-bucket addition), commutative, and associative:
 //! merging per-disk histograms equals the single-stream histogram over
 //! the concatenated values. The workspace's streaming-metrics tests pin

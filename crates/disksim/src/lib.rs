@@ -17,7 +17,11 @@
 //!
 //! Outputs are the paper's two metrics: total disk energy (J) and total
 //! disk I/O time (sum of request response times), plus per-disk detail and
-//! idle-period histograms.
+//! idle-period histograms ([`IdleHistogram`], the paper's fixed buckets).
+//! Every run also carries streaming O(1)-per-disk metrics
+//! ([`DiskStreamMetrics`]): [`LogHistogram`]s of service time and spin-up
+//! stalls, a [`QueueDepthGauge`] and an [`RpmResidency`] table, all in
+//! simulated time and exactly mergeable into run totals.
 //!
 //! ```
 //! use dpm_disksim::{Simulator, Trace, IoRequest, RequestKind, PowerPolicy, DiskParams, TpmConfig};
@@ -43,7 +47,9 @@
 #![warn(missing_docs)]
 
 mod disk;
+mod hist;
 pub mod invariants;
+mod metrics;
 mod params;
 mod request;
 mod sim;
@@ -52,6 +58,8 @@ mod stream;
 
 pub use disk::{DiskSim, SubRequest};
 pub use dpm_faults::{FaultInjector, FaultPlan, RetryPolicy};
+pub use hist::LogHistogram;
+pub use metrics::{DiskStreamMetrics, QueueDepthGauge, RpmResidency};
 pub use params::{
     DirectiveConfig, DiskClass, DiskParams, DrpmConfig, MigrationConfig, PowerPolicy, RaidConfig,
     ServiceTime, Tier, TierConfig, TpmConfig,

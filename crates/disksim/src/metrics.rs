@@ -1,9 +1,9 @@
 //! Streaming, constant-memory per-disk simulation metrics.
 //!
-//! The upcoming pull-based streaming simulator will never materialize a
-//! trace, so anything we want to know about a run must be computed
-//! incrementally from the event stream with O(1) memory per disk. This
-//! module is that accumulator set:
+//! The pull-based simulator ([`Simulator::run_stream`](crate::Simulator::run_stream))
+//! never materializes a trace, so anything we want to know about a run
+//! must be computed incrementally from the request stream with O(1)
+//! memory per disk. This module is that accumulator set:
 //!
 //! * [`LogHistogram`]s for request service time and spin-up latency
 //!   (microseconds of simulated time — integers, so bit-reproducible at
@@ -28,7 +28,7 @@ const DEPTH_WINDOW: usize = 64;
 /// The per-disk sub-request stream arrives in non-decreasing arrival
 /// order and completes in FIFO order, so the set of outstanding requests
 /// at any arrival is a suffix of recent completions. The gauge keeps at
-/// most [`DEPTH_WINDOW`] completion times (constant memory) and
+/// most 64 completion times (constant memory) and
 /// integrates `depth × Δt` between arrivals.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct QueueDepthGauge {

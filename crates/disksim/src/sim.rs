@@ -278,7 +278,6 @@ impl Simulator {
     /// Panics if the stream's arrivals are not non-decreasing.
     pub fn run_stream(&self, stream: &mut dyn RequestStream) -> SimReport {
         let obs_run = dpm_obs::next_run_id();
-        let _prof = dpm_prof::scope("simulate");
         let mut sp = dpm_obs::span!("simulate");
         sp.add("run", obs_run);
         let (report, accounting) = self.event_loop(stream, obs_run);
@@ -318,7 +317,7 @@ impl Simulator {
         stream: &mut dyn RequestStream,
         obs_run: u64,
     ) -> (SimReport, TraceAccounting) {
-        let _prof = dpm_prof::scope("sim_event_loop");
+        let _sp = dpm_obs::span!("sim_event_loop");
         let mut disks = self.make_disks(obs_run);
         let mut router = self.make_router();
         let mut accounting = TraceAccounting::new(self.num_disks());

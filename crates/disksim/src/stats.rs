@@ -2,7 +2,7 @@
 //! the whole-run report with the paper's two headline metrics (disk energy
 //! and disk I/O time).
 
-use dpm_prof::DiskStreamMetrics;
+use crate::metrics::DiskStreamMetrics;
 use std::fmt;
 
 /// Per-disk accounting accumulated by the simulator.
@@ -492,8 +492,7 @@ mod tests {
     }
 
     /// Exact bucket-boundary semantics: a period equal to an edge belongs
-    /// to the bucket *above* that edge (consistent with
-    /// `dpm_obs::Histogram::idle_period_ms`, which uses the same edges).
+    /// to the bucket *above* that edge.
     #[test]
     fn histogram_exact_edges_go_to_the_upper_bucket() {
         let mut h = IdleHistogram::default();
@@ -510,14 +509,6 @@ mod tests {
         // The break-even edge itself (15.2 s) counts as a candidate.
         assert_eq!(h.spin_down_candidates(), 2);
         assert_eq!(low.spin_down_candidates(), 1);
-    }
-
-    #[test]
-    fn histogram_edges_agree_with_obs_preset() {
-        assert_eq!(
-            dpm_obs::Histogram::idle_period_ms().edges(),
-            &IdleHistogram::EDGES_MS
-        );
     }
 
     #[test]

@@ -36,9 +36,12 @@
 //!   experiment matrix.
 //! * **Observability.** Each parallel map opens a `par_map` span
 //!   (`items`, `workers`) and each participant an `exec_worker` span
-//!   (`worker` slot, `claimed` counter) via `dpm-obs`; helpers adopt the
-//!   caller's `dpm-prof` path so their time nests under the issuing
-//!   scope.
+//!   (`worker` slot, `claimed` counter) via `dpm-obs`. The fan-out
+//!   captures the caller's [`dpm_obs::Context`] and every helper attaches
+//!   it before it participates, so a helper's `exec_worker` span names
+//!   `par_map` as its parent in the event stream and its time nests under
+//!   the issuing span in the profile; the context's detach retires the
+//!   helper's profile before the scope joins.
 //!
 //! ```
 //! let squares = dpm_exec::par_map_indexed(&[1u64, 2, 3, 4], |_, &x| x * x);
@@ -209,7 +212,6 @@ fn run_indexed<R: Send>(threads: usize, len: usize, job: &(impl Fn(usize) -> R +
     let mut sp = dpm_obs::span!("par_map");
     sp.add("items", len as u64);
     sp.add("workers", threads as u64);
-    let _prof = dpm_prof::scope("par_map");
     let slots: Vec<Mutex<Option<R>>> = (0..len).map(|_| Mutex::new(None)).collect();
     fan_out(threads, len, &|i| {
         let r = job(i);
@@ -232,7 +234,7 @@ fn run_indexed<R: Send>(threads: usize, len: usize, job: &(impl Fn(usize) -> R +
 /// order. The first item panic stops further claims and is re-raised
 /// here after the join.
 fn fan_out(threads: usize, len: usize, task: &(dyn Fn(usize) + Sync)) {
-    let ctx = dpm_prof::current_context();
+    let ctx = dpm_obs::Context::current();
     let block_end = |b: usize| (b + 1) * len / threads;
     // `cursors[b]` is block `b`'s next unclaimed index; it may run past
     // the block end, which means empty. `Relaxed` suffices for it and for
@@ -246,7 +248,6 @@ fn fan_out(threads: usize, len: usize, task: &(dyn Fn(usize) + Sync)) {
     let payload: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
 
     let participate = |me: usize| {
-        let _prof = dpm_prof::scope("exec_worker");
         let mut wsp = dpm_obs::span!("exec_worker");
         wsp.add("worker", me as u64);
         for b in (me..threads).chain(0..me) {
@@ -389,21 +390,63 @@ mod tests {
         assert!(caught.is_err());
     }
 
+    /// Tests that switch the global recorders must not interleave.
+    fn recorder_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     #[test]
-    fn profiled_workers_nest_under_caller_scope() {
-        dpm_prof::reset();
-        dpm_prof::enable();
+    fn profiled_workers_nest_under_caller_span() {
+        let _g = recorder_lock();
+        dpm_obs::prof::reset();
+        dpm_obs::prof::enable();
         {
-            let _outer = dpm_prof::scope("caller");
+            let _outer = dpm_obs::span!("caller");
             Pool::new(3).map_indexed(&[1u64, 2, 3, 4, 5, 6], |_, &x| x * 2);
         }
-        dpm_prof::disable();
-        let p = dpm_prof::snapshot();
+        dpm_obs::prof::disable();
+        let p = dpm_obs::prof::snapshot();
         let workers = p
             .find(&["caller", "par_map", "exec_worker"])
-            .expect("worker frames nest under the issuing scope");
+            .expect("worker frames nest under the issuing span");
         assert!(p.node(workers).count >= 1);
-        dpm_prof::reset();
+        dpm_obs::prof::reset();
+    }
+
+    #[test]
+    fn helper_worker_spans_name_par_map_as_parent() {
+        let _g = recorder_lock();
+        let collector = dpm_obs::install_collector();
+        dpm_obs::enable();
+        let out = {
+            // Other tests in this binary run maps concurrently; the probe
+            // span singles out this test's map.
+            let _probe = dpm_obs::span!("exec_parent_probe");
+            Pool::new(2).map_vec((0..8u64).collect(), |_, x| x + 1)
+        };
+        dpm_obs::disable();
+        dpm_obs::clear_sinks();
+        assert_eq!(out, (1..9).collect::<Vec<u64>>());
+        let ends: Vec<_> = collector
+            .snapshot()
+            .into_iter()
+            .filter(|e| e.kind == dpm_obs::kind::SPAN_END)
+            .collect();
+        let id_of = |name: &str, parent: Option<f64>| {
+            ends.iter()
+                .find(|e| e.name == name && (parent.is_none() || e.num("parent") == parent))
+                .and_then(|e| e.num("id"))
+        };
+        let probe = id_of("exec_parent_probe", None).expect("probe span");
+        let map = id_of("par_map", Some(probe)).expect("par_map under the probe");
+        let mut workers: Vec<f64> = ends
+            .iter()
+            .filter(|e| e.name == "exec_worker" && e.num("parent") == Some(map))
+            .filter_map(|e| e.num("worker"))
+            .collect();
+        workers.sort_by(f64::total_cmp);
+        assert_eq!(workers, [0.0, 1.0], "both participants name par_map");
     }
 
     #[test]

@@ -159,7 +159,7 @@ impl FaultPlan {
     /// same `(plan, disk)` produce identical decisions; different disks
     /// get statistically independent streams.
     pub fn injector_for_disk(&self, disk: usize) -> FaultInjector {
-        let _prof = dpm_prof::scope("fault_injector_setup");
+        let _sp = dpm_obs::span!("fault_injector_setup");
         let mut rng = XorShift64Star::new(splitmix64(
             self.seed ^ (disk as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15),
         ));

@@ -8,7 +8,7 @@
 //! ```
 //!
 //! `kind` is a small closed vocabulary (see [`kind`]); `name` identifies
-//! the span / counter / state within that kind; `fields` carries numeric
+//! the span / state / request within that kind; `fields` carries numeric
 //! and string payload values. Encoding and re-parsing an event yields an
 //! identical [`Event`] (covered by tests), so a JSON-Lines file is a
 //! faithful serialization of the in-memory stream.
@@ -23,10 +23,6 @@ pub mod kind {
     /// A span closed (fields: `id`, `parent`, `dur_us`, plus one field per
     /// span counter).
     pub const SPAN_END: &str = "span_end";
-    /// A standalone counter observation (fields: `value`).
-    pub const COUNTER: &str = "counter";
-    /// A standalone gauge observation (fields: `value`).
-    pub const GAUGE: &str = "gauge";
     /// A disk power-state transition (`name` = state; fields: `run`,
     /// `disk`, `at_ms`, `rpm`).
     pub const DISK_STATE: &str = "disk_state";
@@ -171,7 +167,7 @@ pub struct Event {
     pub ts_us: u64,
     /// Event type tag; see [`kind`].
     pub kind: String,
-    /// Name within the kind: span name, counter name, power-state name, …
+    /// Name within the kind: span name, power-state name, …
     pub name: String,
     /// Payload fields, in insertion order. Keys are unique per event.
     pub fields: Vec<(String, Value)>,

@@ -209,8 +209,8 @@ mod tests {
     fn memory_sink_collects() {
         let (mut sink, collector) = MemorySink::new();
         assert!(collector.is_empty());
-        sink.record(&Event::new(1, kind::COUNTER, "c").field("value", 2u64));
-        sink.record(&Event::new(2, kind::COUNTER, "c").field("value", 3u64));
+        sink.record(&Event::new(1, kind::REQUEST, "c").field("value", 2u64));
+        sink.record(&Event::new(2, kind::REQUEST, "c").field("value", 3u64));
         assert_eq!(collector.len(), 2);
         assert_eq!(collector.snapshot()[1].ts_us, 2);
         collector.clear();
@@ -265,7 +265,7 @@ mod tests {
                 s.spawn(move || {
                     for i in 0..PER_THREAD {
                         sink.record_shared(
-                            &Event::new(i, kind::COUNTER, "tick")
+                            &Event::new(i, kind::REQUEST, "tick")
                                 .field("thread", t)
                                 .field("seq", i),
                         );

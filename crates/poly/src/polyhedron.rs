@@ -522,7 +522,7 @@ impl Polyhedron {
     /// Panics if the polyhedron is unbounded.
     pub fn count_points(&self) -> u64 {
         *self.cache.count.get_or_init(|| {
-            let _prof = dpm_prof::scope("poly_count");
+            let _sp = dpm_obs::span!("poly_count");
             self.count_impl()
         })
     }

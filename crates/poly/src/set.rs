@@ -134,7 +134,7 @@ impl Set {
     #[must_use]
     pub fn into_subtract(mut self, other: &Set) -> Set {
         assert_eq!(self.dim, other.dim, "dimension mismatch in subtract");
-        let _prof = dpm_prof::scope("poly_subtract");
+        let _sp = dpm_obs::span!("poly_subtract");
         for b in &other.parts {
             if b.is_rationally_empty() {
                 // Subtracting nothing: note this also covers a `b` whose

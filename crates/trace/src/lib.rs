@@ -380,7 +380,6 @@ impl<'p> TraceGenerator<'p> {
     /// phase starts, and pending requests are flushed.
     pub fn generate(&self, order: &dyn ExecutionOrder) -> (Trace, TraceStats) {
         let mut sp = dpm_obs::span!("trace_generate");
-        let _prof = dpm_prof::scope("trace_gen");
         let mut stats = TraceStats::default();
         let mut all = Vec::new();
         let nprocs = order.num_procs();

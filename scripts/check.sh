@@ -40,6 +40,10 @@ run cargo clippy --offline --workspace --lib -- \
     -D clippy::undocumented_unsafe_blocks \
     -D clippy::unwrap_used
 
+# API docs must build clean: an intra-doc link to a private item, or one
+# that is ambiguous (`span` is both a function and a macro), is an error.
+run env RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
+
 # Static legality gate: lint every app, symbolically verify the disk-major
 # plan, and exactly verify all four scheduler outputs per app. Exits
 # non-zero on any Error-severity diagnostic, so an illegal schedule or a

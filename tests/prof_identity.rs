@@ -1,15 +1,29 @@
-//! Profiler bit-identity: enabling `dpm-prof` must not change simulation
-//! output — not by an ulp, not in any counter — at any pool width.
+//! Profiler bit-identity: enabling the `dpm_obs::prof` recorder must not
+//! change simulation output — not by an ulp, not in any counter — at any
+//! pool width.
 //!
 //! The profiler only *reads* clocks and writes to its own thread-local
 //! arenas; this test pins that contract by rendering every report of the
 //! Tiny figure-9(a) suite (floats by bit pattern, streaming metrics by
 //! their full debug form) with the profiler off and on at 1, 2, and 8
 //! threads, and requiring all six renderings to be byte-identical.
+//!
+//! Both recorders are fed by one span guard, so a run with both on must
+//! also name the same regions in the profile and in the event stream.
 
 use dpm_apps::Scale;
 use dpm_bench::{run_matrix, AppResults, ExperimentConfig, MatrixCell, Version};
+use dpm_obs::prof;
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
+use std::sync::{Mutex, MutexGuard};
+
+/// The recorders are process-global; this file's tests must not
+/// interleave.
+fn lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn cells() -> Vec<MatrixCell> {
     dpm_apps::suite(Scale::Tiny)
@@ -51,21 +65,21 @@ fn canonical(all: &[AppResults]) -> String {
 
 fn run_suite(threads: usize, profiled: bool) -> String {
     if profiled {
-        dpm_prof::reset();
-        dpm_prof::enable();
+        prof::reset();
+        prof::enable();
     }
     let results = dpm_exec::with_env_threads(threads, || {
         run_matrix(cells(), &ExperimentConfig::default())
     });
     if profiled {
-        let profile = dpm_prof::snapshot();
-        dpm_prof::disable();
-        dpm_prof::reset();
+        let profile = prof::snapshot();
+        prof::disable();
+        prof::reset();
         // The profiled run must actually have profiled something, or the
         // bit-identity claim is vacuous.
         assert!(
-            profile.find(&["run_matrix"]).is_some(),
-            "profiler enabled but no run_matrix scope captured at {threads} thread(s)"
+            profile.find(&["experiment_matrix"]).is_some(),
+            "profiler enabled but no experiment_matrix frame captured at {threads} thread(s)"
         );
     }
     canonical(&results)
@@ -73,6 +87,7 @@ fn run_suite(threads: usize, profiled: bool) -> String {
 
 #[test]
 fn profiler_on_off_bit_identical_at_1_2_8_threads() {
+    let _g = lock();
     let reference = run_suite(1, false);
     assert!(!reference.is_empty());
     for threads in [1usize, 2, 8] {
@@ -87,4 +102,31 @@ fn profiler_on_off_bit_identical_at_1_2_8_threads() {
             "profiler-on run at {threads} thread(s) changed simulation output"
         );
     }
+}
+
+#[test]
+fn profile_frames_and_span_events_name_the_same_regions() {
+    let _g = lock();
+    let collector = dpm_obs::install_collector();
+    prof::reset();
+    prof::enable();
+    dpm_obs::enable();
+    run_matrix(cells(), &ExperimentConfig::default());
+    dpm_obs::disable();
+    prof::disable();
+    let profile = prof::snapshot();
+    prof::reset();
+    dpm_obs::clear_sinks();
+
+    let frames: BTreeSet<String> = (1..profile.len())
+        .map(|ix| profile.node(ix).name.to_string())
+        .collect();
+    let ends: BTreeSet<String> = collector
+        .snapshot()
+        .into_iter()
+        .filter(|e| e.kind == dpm_obs::kind::SPAN_END)
+        .map(|e| e.name)
+        .collect();
+    assert!(frames.contains("experiment_matrix"), "{frames:?}");
+    assert_eq!(frames, ends, "profile frames vs span_end names");
 }
