@@ -248,8 +248,7 @@ pub fn nest_iter_compute_ms(program: &Program, options: &TraceGenOptions) -> Vec
 /// an iteration (`None` when `pos` is the last one). Used to anchor a
 /// `SpinDown` directly after a window-opening access.
 pub fn successor_pos(schedule: &Schedule, pos: SchedulePos) -> Option<SchedulePos> {
-    let iters = schedule.iters(pos.phase as usize, pos.proc);
-    if (pos.idx as usize) + 1 < iters.len() {
+    if (pos.idx as usize) + 1 < schedule.len(pos.phase as usize, pos.proc) {
         return Some(SchedulePos::new(pos.phase, pos.proc, pos.idx + 1));
     }
     first_pos_from(schedule, pos.phase as usize + 1)
@@ -259,7 +258,7 @@ pub fn successor_pos(schedule: &Schedule, pos: SchedulePos) -> Option<SchedulePo
 pub fn first_pos_from(schedule: &Schedule, phase: usize) -> Option<SchedulePos> {
     for ph in phase..schedule.num_phases() {
         for proc in 0..schedule.num_procs() {
-            if !schedule.iters(ph, proc).is_empty() {
+            if schedule.len(ph, proc) > 0 {
                 return Some(SchedulePos::new(ph as u32, proc, 0));
             }
         }
@@ -329,7 +328,6 @@ fn walk(
         total_compute_ms: 0.0,
     };
     let compiled = CompiledProgram::new(program);
-    let mut cbuf = [0i64; dpm_core::CompactIter::MAX_DEPTH];
     let mut pieces: Vec<(usize, u64, u64)> = Vec::new();
     // The distinct (processor, block) pairs: one bit per volume block for
     // each processor.
@@ -339,12 +337,10 @@ fn walk(
     // for a single-processor schedule this IS the execution order, so the
     // flat clock below is the processor's compute-only virtual clock.
     let mut clock = 0.0f64;
-    schedule.for_each_scheduled(|phase, proc, idx, it| {
-        let ni = it.nest as usize;
+    schedule.for_each_scheduled(|pos, ni, coords| {
+        let (phase, proc) = (pos.phase as usize, pos.proc as usize);
         r.iters_per_nest[ni] += 1;
-        let coords = it.coords_into(&mut cbuf);
-        let pos = SchedulePos::new(phase as u32, proc, idx as u32);
-        let seen = &mut seen[proc as usize];
+        let seen = &mut seen[proc];
         for stmt in compiled.nest(ni) {
             for re in &stmt.refs {
                 let off = re.offset(program, layout, coords);
@@ -392,12 +388,12 @@ fn walk(
                         acc.last_pos = Some(pos);
                         r.first_touch[phase][d].get_or_insert(pos);
                     }
-                    r.touches[phase][proc as usize] += 1;
+                    r.touches[phase][proc] += 1;
                 }
             }
             let ms = options.compute_ms(stmt.cost_cycles);
             clock += ms;
-            r.compute[phase][proc as usize] += ms;
+            r.compute[phase][proc] += ms;
         }
     });
     r.total_compute_ms = clock;
@@ -711,7 +707,7 @@ mod tests {
 
     /// L1 on processor 0 in phase 0, then L2 on processor 1 in phase 1.
     fn two_phase(p: &Program) -> Schedule {
-        let mut s = Schedule::new(2, 2);
+        let mut s = Schedule::new(p, 2, 2);
         dpm_trace::walk_nest(&p.nests[0], &mut |pt| s.push(0, 0, CompactIter::new(0, pt)));
         dpm_trace::walk_nest(&p.nests[1], &mut |pt| s.push(1, 1, CompactIter::new(1, pt)));
         s

@@ -69,13 +69,16 @@ pub fn compute_prefix(
     for phase in 0..schedule.num_phases() {
         let procs: Vec<Vec<f64>> = (0..schedule.num_procs())
             .map(|proc| {
-                let iters = schedule.iters(phase, proc);
-                let mut pre = Vec::with_capacity(iters.len() + 1);
+                let mut pre = Vec::with_capacity(schedule.len(phase, proc) + 1);
                 let mut acc = 0.0f64;
                 pre.push(acc);
-                for it in iters {
-                    acc += iter_ms[it.nest as usize];
-                    pre.push(acc);
+                // One add per iteration, in issue order: a `len × ms`
+                // shortcut per run would round differently.
+                for (nest, ranks) in schedule.runs(phase, proc) {
+                    for _ in ranks {
+                        acc += iter_ms[nest];
+                        pre.push(acc);
+                    }
                 }
                 pre
             })
@@ -105,12 +108,9 @@ fn disk_touches(
     let bs = options.block_bytes.max(1);
     let compiled = CompiledProgram::new(program);
     let mut touches: Vec<Vec<SchedulePos>> = vec![Vec::new(); striping.num_disks()];
-    let mut cbuf = [0i64; dpm_core::CompactIter::MAX_DEPTH];
     let mut pieces: Vec<(usize, u64, u64)> = Vec::new();
-    schedule.for_each_scheduled(|phase, proc, idx, it| {
-        let coords = it.coords_into(&mut cbuf);
-        let pos = SchedulePos::new(phase as u32, proc, idx as u32);
-        for stmt in compiled.nest(it.nest as usize) {
+    schedule.for_each_scheduled(|pos, ni, coords| {
+        for stmt in compiled.nest(ni) {
             for re in &stmt.refs {
                 let off = re.offset(program, layout, coords);
                 for b in off / bs..=(off + re.elem_bytes - 1) / bs {
@@ -183,7 +183,7 @@ fn pos_str(p: SchedulePos) -> String {
 fn in_range(schedule: &Schedule, d: &Directive) -> bool {
     (d.at.phase as usize) < schedule.num_phases()
         && d.at.proc < schedule.num_procs()
-        && (d.at.idx as usize) < schedule.iters(d.at.phase as usize, d.at.proc).len().max(1)
+        && (d.at.idx as usize) < schedule.len(d.at.phase as usize, d.at.proc).max(1)
 }
 
 /// Checks a directive table against the schedule's static access model.
@@ -505,7 +505,7 @@ mod tests {
         // runs L2 in phase 1. Barrier-anchored directives (idx == 0) are
         // provably ordered with the whole phase even across processors.
         let (p, layout, _) = fixture();
-        let mut s = Schedule::new(2, 2);
+        let mut s = Schedule::new(&p, 2, 2);
         dpm_trace::walk_nest(&p.nests[0], &mut |pt| {
             s.push(0, 0, dpm_core::CompactIter::new(0, pt))
         });

@@ -9,10 +9,19 @@
 //! iterations it covers, barriers included; only `*` distance vectors are
 //! checked pairwise.
 //!
+//! ## Coverage
+//!
+//! A [`Schedule`] stores ranks over the domains of the program it was built
+//! for, so it can hold only points of *that* program. The verifier never
+//! reads those ranks: it ranks each yielded point through `program`'s own
+//! [`DomainIndex`]. A *foreign* iteration is therefore one of a schedule
+//! built over another program's domains (a wider nest, or more nests) that
+//! lies outside `program`'s.
+//!
 //! ## Ordering model
 //!
-//! A schedule position is `(phase, proc, idx)`. Phases are barriers, so
-//! `a` is guaranteed to run before `b` iff
+//! A schedule position is a [`SchedulePos`] `(phase, proc, idx)`. Phases
+//! are barriers, so `a` is guaranteed to run before `b` iff
 //!
 //! ```text
 //! a.phase < b.phase  ∨  (a.phase = b.phase ∧ a.proc = b.proc ∧ a.idx < b.idx)
@@ -37,27 +46,19 @@
 //! per-pair check accepts it while still rejecting any real violation.
 
 use crate::diag::{DiagCode, DiagSink, Diagnostic, Location};
-use dpm_core::{CompactIter, DomainIndex, Schedule};
+use dpm_core::{CompactIter, DomainIndex, Schedule, SchedulePos};
 use dpm_ir::{CrossDep, DependenceInfo, DistElem, Program};
 use dpm_trace::walk_nest;
 
-/// A schedule position; ordering semantics in the module docs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct Pos {
-    phase: usize,
-    proc: u32,
-    idx: usize,
-}
-
-fn precedes(a: Pos, b: Pos) -> bool {
+fn precedes(a: SchedulePos, b: SchedulePos) -> bool {
     a.phase < b.phase || (a.phase == b.phase && a.proc == b.proc && a.idx < b.idx)
 }
 
-fn concurrent(a: Pos, b: Pos) -> bool {
+fn concurrent(a: SchedulePos, b: SchedulePos) -> bool {
     a.phase == b.phase && a.proc != b.proc
 }
 
-fn fmt_pos(p: Pos) -> String {
+fn fmt_pos(p: SchedulePos) -> String {
     format!("phase {} proc {} idx {}", p.phase, p.proc, p.idx)
 }
 
@@ -101,7 +102,8 @@ pub fn verify_schedule(
     // Each nest's domain as a dense rank: `pos[ni][rank]` is the position
     // of that iteration, and membership is `rank(..).is_some()`.
     let indices: Vec<DomainIndex> = program.nests.iter().map(DomainIndex::new).collect();
-    let mut pos: Vec<Vec<Option<Pos>>> = indices.iter().map(|ix| vec![None; ix.len()]).collect();
+    let mut pos: Vec<Vec<Option<SchedulePos>>> =
+        indices.iter().map(|ix| vec![None; ix.len()]).collect();
     // Occurrence lists in schedule order, kept only for barrier endpoints.
     let mut in_barrier = vec![false; program.nests.len()];
     for dep in &deps.cross {
@@ -110,14 +112,10 @@ pub fn verify_schedule(
             in_barrier[*dst_nest] = true;
         }
     }
-    let mut occ: Vec<Vec<(Pos, CompactIter)>> = vec![Vec::new(); program.nests.len()];
+    let mut occ: Vec<Vec<(SchedulePos, CompactIter)>> = vec![Vec::new(); program.nests.len()];
 
     // Pass 1: position table + foreign/duplicate detection.
-    let mut buf = [0i64; CompactIter::MAX_DEPTH];
-    schedule.for_each_scheduled(|phase, proc, idx, it| {
-        let here = Pos { phase, proc, idx };
-        let ni = it.nest as usize;
-        let coords = it.coords_into(&mut buf);
+    schedule.for_each_scheduled(|here, ni, coords| {
         let Some(rank) = indices.get(ni).and_then(|ix| ix.rank(coords)) else {
             sink.push(Diagnostic::new(
                 DiagCode::CoverageForeign,
@@ -132,7 +130,7 @@ pub fn verify_schedule(
             return;
         };
         if in_barrier[ni] {
-            occ[ni].push((here, it));
+            occ[ni].push((here, CompactIter::new(ni, coords)));
         }
         if let Some(first) = pos[ni][rank].replace(here) {
             sink.push(Diagnostic::new(
@@ -165,6 +163,7 @@ pub fn verify_schedule(
     }
 
     // Pass 2: intra-nest dependences.
+    let mut buf = [0i64; CompactIter::MAX_DEPTH];
     for (ni, nest) in program.nests.iter().enumerate() {
         let name = &nest.name;
         let loc = || Location::nest(ni).with_pos(program.src.nest(ni));
@@ -346,9 +345,9 @@ pub fn verify_schedule(
 /// source entry that violates against any sink entry, with its first
 /// violating sink entry.
 fn barrier_witness(
-    src: &[(Pos, CompactIter)],
-    dst: &[(Pos, CompactIter)],
-) -> Option<((Pos, CompactIter), (Pos, CompactIter))> {
+    src: &[(SchedulePos, CompactIter)],
+    dst: &[(SchedulePos, CompactIter)],
+) -> Option<((SchedulePos, CompactIter), (SchedulePos, CompactIter))> {
     let max_src_phase = src.iter().map(|(p, _)| p.phase).max()?;
     let min_dst_phase = dst.iter().map(|(p, _)| p.phase).min()?;
     if max_src_phase > min_dst_phase {
@@ -406,8 +405,8 @@ mod tests {
             "program t; array A[8] : f64;
              nest L { for i = 1 .. 7 { A[i] = A[i-1]; } }",
         );
-        let rev: Vec<CompactIter> = (1..=7).rev().map(|i| CompactIter::new(0, &[i])).collect();
-        let diags = verify_schedule(&p, &d, &Schedule::single(rev));
+        let rev = (1..=7).rev().map(|i| CompactIter::new(0, &[i]));
+        let diags = verify_schedule(&p, &d, &Schedule::single(&p, rev));
         assert!(
             diags.iter().any(|x| x.code == DiagCode::DepOrder),
             "{diags:?}"
@@ -421,21 +420,28 @@ mod tests {
             "program t; array A[8] : f64;
              nest L { for i = 0 .. 7 { A[i] = 1; } }",
         );
-        let part: Vec<CompactIter> = (0..7).map(|i| CompactIter::new(0, &[i])).collect();
-        let diags = verify_schedule(&p, &d, &Schedule::single(part));
+        let part = (0..7).map(|i| CompactIter::new(0, &[i]));
+        let diags = verify_schedule(&p, &d, &Schedule::single(&p, part));
         assert!(diags.iter().any(|x| x.code == DiagCode::CoverageMissing));
     }
 
+    /// A schedule can only hold points of the program it was built over,
+    /// so the foreign point comes from a schedule over a wider nest.
     #[test]
     fn duplicate_and_foreign_iterations_are_rejected() {
         let (p, d) = setup(
             "program t; array A[4] : f64;
              nest L { for i = 0 .. 3 { A[i] = 1; } }",
         );
+        let wide = parse_program(
+            "program t; array A[10] : f64;
+             nest L { for i = 0 .. 9 { A[i] = 1; } }",
+        )
+        .unwrap();
         let mut items: Vec<CompactIter> = (0..4).map(|i| CompactIter::new(0, &[i])).collect();
         items.push(CompactIter::new(0, &[2])); // duplicate
-        items.push(CompactIter::new(0, &[9])); // out of domain
-        let diags = verify_schedule(&p, &d, &Schedule::single(items));
+        items.push(CompactIter::new(0, &[9])); // outside `p`'s domain
+        let diags = verify_schedule(&p, &d, &Schedule::single(&wide, items));
         assert!(diags.iter().any(|x| x.code == DiagCode::CoverageDuplicate));
         assert!(diags.iter().any(|x| x.code == DiagCode::CoverageForeign));
     }
@@ -448,7 +454,7 @@ mod tests {
         );
         // Two procs, one phase: evens on proc 0, odds on proc 1 — every
         // consecutive pair races.
-        let mut s = Schedule::new(2, 1);
+        let mut s = Schedule::new(&p, 2, 1);
         for i in 1..=7i64 {
             s.push(0, (i % 2) as u32, CompactIter::new(0, &[i]));
         }
@@ -482,7 +488,7 @@ mod tests {
             d.intra
         );
         // Legal: partition by i across two procs, original j order inside.
-        let mut split = Schedule::new(2, 1);
+        let mut split = Schedule::new(&p, 2, 1);
         for i in 0..4i64 {
             for j in 0..4i64 {
                 split.push(0, (i % 2) as u32, CompactIter::new(0, &[i, j]));
@@ -496,7 +502,7 @@ mod tests {
                 rev.push(CompactIter::new(0, &[i, j]));
             }
         }
-        let diags = verify_schedule(&p, &d, &Schedule::single(rev));
+        let diags = verify_schedule(&p, &d, &Schedule::single(&p, rev));
         assert!(
             diags.iter().any(|x| x.code == DiagCode::DepOrder),
             "{diags:?}"
@@ -521,14 +527,9 @@ mod tests {
         let ok = original_schedule(&p);
         assert_eq!(verify_schedule(&p, &d, &ok), vec![]);
         // Hoist one L2 iteration before its transposed L1 source.
-        let mut items: Vec<CompactIter> = Vec::new();
-        items.push(CompactIter::new(1, &[3, 1]));
-        ok.for_each_scheduled(|_, _, _, it| {
-            if !(it.nest == 1 && it.coords() == vec![3, 1]) {
-                items.push(it);
-            }
-        });
-        let diags = verify_schedule(&p, &d, &Schedule::single(items));
+        let hoisted = CompactIter::new(1, &[3, 1]);
+        let items = std::iter::once(hoisted).chain(ok.iter(0, 0).filter(|&it| it != hoisted));
+        let diags = verify_schedule(&p, &d, &Schedule::single(&p, items));
         assert!(
             diags.iter().any(|x| x.code == DiagCode::CrossOrder),
             "{diags:?}"
@@ -554,13 +555,9 @@ mod tests {
         let ok = original_schedule(&p);
         assert_eq!(verify_schedule(&p, &d, &ok), vec![]);
         // Move the first L2 iteration to the very front.
-        let mut items = vec![CompactIter::new(1, &[0])];
-        ok.for_each_scheduled(|_, _, _, it| {
-            if !(it.nest == 1 && it.coords() == vec![0]) {
-                items.push(it);
-            }
-        });
-        let diags = verify_schedule(&p, &d, &Schedule::single(items));
+        let hoisted = CompactIter::new(1, &[0]);
+        let items = std::iter::once(hoisted).chain(ok.iter(0, 0).filter(|&it| it != hoisted));
+        let diags = verify_schedule(&p, &d, &Schedule::single(&p, items));
         assert!(
             diags.iter().any(|x| x.code == DiagCode::BarrierOrder),
             "{diags:?}"
@@ -570,9 +567,9 @@ mod tests {
     /// The all-pairs barrier scan the one-pass [`barrier_witness`]
     /// replaced, kept as its oracle.
     fn barrier_witness_all_pairs(
-        src: &[(Pos, CompactIter)],
-        dst: &[(Pos, CompactIter)],
-    ) -> Option<((Pos, CompactIter), (Pos, CompactIter))> {
+        src: &[(SchedulePos, CompactIter)],
+        dst: &[(SchedulePos, CompactIter)],
+    ) -> Option<((SchedulePos, CompactIter), (SchedulePos, CompactIter))> {
         let max_src_phase = src.iter().map(|(p, _)| p.phase).max()?;
         let min_dst_phase = dst.iter().map(|(p, _)| p.phase).min()?;
         if max_src_phase > min_dst_phase {
@@ -619,11 +616,11 @@ mod tests {
                         let (mut src, mut dst) = (Vec::new(), Vec::new());
                         for (slot, list) in lists.iter().enumerate() {
                             for (idx, &k) in list.iter().enumerate() {
-                                let at = Pos {
-                                    phase: slot / procs as usize,
-                                    proc: slot as u32 % procs,
-                                    idx,
-                                };
+                                let at = SchedulePos::new(
+                                    slot as u32 / procs,
+                                    slot as u32 % procs,
+                                    idx as u32,
+                                );
                                 let it = CompactIter::new(0, &[i64::from(k)]);
                                 if kinds >> k & 1 == 1 {
                                     src.push((at, it));
@@ -653,7 +650,7 @@ mod tests {
              nest L2 { for x = 0 .. N-1 { S[x] = T[0][x]; } }",
         );
         // L1 in phase 0 across two procs, L2 in phase 1: legal.
-        let mut s = Schedule::new(2, 2);
+        let mut s = Schedule::new(&p, 2, 2);
         for dd in 0..4i64 {
             for x in 0..4i64 {
                 s.push(0, (dd % 2) as u32, CompactIter::new(0, &[dd, x]));
@@ -664,7 +661,7 @@ mod tests {
         }
         assert_eq!(verify_schedule(&p, &d, &s), vec![]);
         // Same phase on different procs: unordered, must be rejected.
-        let mut racy = Schedule::new(2, 1);
+        let mut racy = Schedule::new(&p, 2, 1);
         for dd in 0..4i64 {
             for x in 0..4i64 {
                 racy.push(0, 0, CompactIter::new(0, &[dd, x]));

@@ -19,7 +19,7 @@ use dpm_layout::LayoutMap;
 
 fn flatten(s: &Schedule) -> Vec<CompactIter> {
     let mut v = Vec::new();
-    s.for_each_scheduled(|_, _, _, it| v.push(it));
+    s.for_each_scheduled(|_, ni, pt| v.push(CompactIter::new(ni, pt)));
     v
 }
 
@@ -108,7 +108,7 @@ fn tiny_suite_rejects_all_mutations() {
         // Mutation: drop the last scheduled iteration.
         let mut dropped = flatten(&restructured);
         dropped.pop();
-        let diags = verify_schedule(&program, &deps, &Schedule::single(dropped));
+        let diags = verify_schedule(&program, &deps, &Schedule::single(&program, dropped));
         assert!(
             has_code(&diags, DiagCode::CoverageMissing),
             "{}: drop-last must report E_COVERAGE_MISSING: {diags:?}",
@@ -122,7 +122,7 @@ fn tiny_suite_rejects_all_mutations() {
             let si = items.iter().position(|&it| it == src).unwrap();
             let di = items.iter().position(|&it| it == sink).unwrap();
             items.swap(si, di);
-            let diags = verify_schedule(&program, &deps, &Schedule::single(items));
+            let diags = verify_schedule(&program, &deps, &Schedule::single(&program, items));
             assert!(
                 has_code(&diags, DiagCode::DepOrder),
                 "{}: intra swap must report E_DEP_ORDER: {diags:?}",
@@ -134,7 +134,7 @@ fn tiny_suite_rejects_all_mutations() {
         // Mutation: hoist a cross-nest sink above its unique source.
         if let Some((_, sink)) = cross_pair(&program, &deps) {
             let items = hoist_to_front(&flatten(&original), sink);
-            let diags = verify_schedule(&program, &deps, &Schedule::single(items));
+            let diags = verify_schedule(&program, &deps, &Schedule::single(&program, items));
             assert!(
                 has_code(&diags, DiagCode::CrossOrder),
                 "{}: cross hoist must report E_CROSS_ORDER: {diags:?}",
@@ -157,7 +157,7 @@ fn tiny_suite_rejects_all_mutations() {
             let diags = verify_schedule(
                 &program,
                 &deps,
-                &Schedule::single(hoist_to_front(&items, sink)),
+                &Schedule::single(&program, hoist_to_front(&items, sink)),
             );
             assert!(
                 has_code(&diags, DiagCode::BarrierOrder),
@@ -205,7 +205,11 @@ fn synthetic_barrier_reorder_is_rejected() {
     );
     let items = flatten(&original_schedule(&p));
     let sink = *items.iter().find(|it| it.nest == 1).unwrap();
-    let diags = verify_schedule(&p, &deps, &Schedule::single(hoist_to_front(&items, sink)));
+    let diags = verify_schedule(
+        &p,
+        &deps,
+        &Schedule::single(&p, hoist_to_front(&items, sink)),
+    );
     assert!(has_code(&diags, DiagCode::BarrierOrder), "{diags:?}");
     // …while the untouched original order is provably fine.
     assert_eq!(verify_schedule(&p, &deps, &original_schedule(&p)), vec![]);

@@ -280,8 +280,7 @@ fn main() {
         let deps = dpm_ir::analyze(&program);
         let fast = dpm_core::restructure_single(&program, &layout, &deps);
         let reference = dpm_core::restructure_single_reference(&program, &layout, &deps);
-        let same = fast.num_phases() == reference.num_phases()
-            && (0..fast.num_phases()).all(|ph| fast.iters(ph, 0) == reference.iters(ph, 0));
+        let same = fast == reference;
         if !same {
             eprintln!("poly_bench: FAIL — bitset schedule diverged from reference engine");
             failures += 1;

@@ -1,17 +1,21 @@
 //! Streaming-pipeline benchmark and flat-memory gate.
 //!
-//! Runs the full streaming trace pipeline — lazy generation
+//! Runs the harness's streamed path for a Plain 1-processor cell — the
+//! schedule [`dpm_bench::build_schedule`] builds (what `run_app_streamed`
+//! and the end-to-end benchmark stream) → lazy generation
 //! ([`dpm_trace::GenStream`]) → binary codec spill ([`dpm_trace::TraceWriter`])
 //! → replay ([`dpm_trace::TraceReader`]) → event-driven simulation
 //! ([`dpm_disksim::Simulator::run_stream`]) — at `Tiny` and `Small` scale,
 //! measuring the peak *live heap* with a counting global allocator.
 //!
-//! The hard gate: `Small` carries ~16× the requests of `Tiny`, so if the
-//! pipeline's peak heap is a function of (disks + request window) rather
-//! than trace length, the two peaks must be close. The gate fails (and the
-//! process exits non-zero) when `peak(Small) > FLAT_FACTOR × peak(Tiny)` —
-//! any O(requests) buffer re-introduced anywhere in the pipeline trips it
-//! immediately, because it scales 16× between the probes.
+//! The hard gate: `Small` carries ~16× the requests (and iterations) of
+//! `Tiny`, so if the path's peak heap is a function of (schedule runs +
+//! disks + request window) rather than trace length, the two peaks must be
+//! close. The gate fails (and the process exits non-zero) when
+//! `peak(Small) > FLAT_FACTOR × peak(Tiny)` — any O(requests) or
+//! O(iterations) buffer anywhere on the path, a materialized schedule
+//! included, trips it immediately, because it scales 16× between the
+//! probes.
 //!
 //! Also recorded: streamed simulation throughput (`_x`, regresses
 //! downward) and codec density in bytes per request (regresses upward),
@@ -21,11 +25,11 @@
 //! Usage: `stream_bench [out-path]` (default `BENCH_stream.json`).
 
 use dpm_apps::Scale;
-use dpm_bench::{BenchRecord, ExperimentConfig, GateStatus};
+use dpm_bench::{BenchRecord, ExperimentConfig, GateStatus, ScheduleShape};
 use dpm_disksim::{PowerPolicy, Simulator};
 use dpm_layout::LayoutMap;
 use dpm_obs::Json;
-use dpm_trace::{OriginalOrder, TraceGenerator, TraceReader, TraceWriter};
+use dpm_trace::{TraceGenerator, TraceReader, TraceWriter};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
@@ -74,22 +78,24 @@ struct Probe {
     replay_secs: f64,
 }
 
-/// One end-to-end pipeline run: stream-generate the AST Plain trace, spill
-/// it through the codec to a temp file, replay it into the simulator.
-/// Returns the peak live heap over the whole pipeline.
+/// One end-to-end pipeline run: build the AST Plain 1-processor schedule
+/// as the harness does, stream-generate its trace, spill it through the
+/// codec to a temp file, replay it into the simulator. Returns the peak
+/// live heap over the whole path, schedule included.
 fn probe(scale: Scale) -> Probe {
     let config = ExperimentConfig::default();
     let app = dpm_apps::by_name("AST", scale).unwrap();
     let program = app.program();
     let layout = LayoutMap::new(&program, config.striping);
+    let deps = dpm_ir::analyze(&program);
     let gen = TraceGenerator::new(&program, &layout, config.trace).with_disk_params(config.disk);
-    let order = OriginalOrder::new(&program);
     let path = std::env::temp_dir().join(format!("dpm-stream-bench-{}.trc", std::process::id()));
 
     reset_peak();
+    let schedule = dpm_bench::build_schedule(&program, &layout, &deps, ScheduleShape::Plain, 1);
     let file = std::fs::File::create(&path).expect("create spill file");
     let mut writer = TraceWriter::new(file);
-    let mut stream = gen.stream(&order);
+    let mut stream = gen.stream(&schedule);
     writer.write_stream(&mut stream).expect("spill trace");
     let requests = writer.requests();
     let codec_bytes = writer.bytes_written();
@@ -166,7 +172,8 @@ fn main() {
         },
         format!(
             "peak heap small/tiny = {ratio:.3} (limit {FLAT_FACTOR}) while requests grew \
-             {growth:.1}x — pipeline memory must be O(disks + window), not O(requests)"
+             {growth:.1}x — the streamed path's memory must be O(schedule runs + disks + \
+             window), not O(requests) or O(iterations)"
         ),
     );
     let compact = density <= 16.0;

@@ -14,13 +14,23 @@
 //!   once per distinct prefix. Each span's children are contiguous in the
 //!   next level's table, and the last table level numbers the rectangular
 //!   blocks in walk order.
+//!
+//! The index also runs the other way, which is how a [`Schedule`] stores
+//! iterations as runs of ranks: [`point`](DomainIndex::point) unranks
+//! (div/mod on the rectangular levels, one binary search per table
+//! level), and [`step`](DomainIndex::step) moves a point to its successor
+//! in walk order, skipping empty rows.
+//!
+//! [`Schedule`]: crate::Schedule
 
 use dpm_ir::LoopNest;
 
 /// One loop level under one prefix: the points `lo .. lo + count`. `base`
 /// is the index of the first child span in the next table level, or, at
-/// the last table level, the number of the first child block.
-#[derive(Clone, Copy, Debug)]
+/// the last table level, the number of the first child block. Spans of one
+/// level are stored in walk order, so their child ranges tile the next
+/// level: each `base` is its predecessor's `base + count`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Span {
     base: usize,
     lo: i64,
@@ -28,7 +38,7 @@ struct Span {
 }
 
 /// One rectangular loop level: constant bounds, fixed stride.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Dim {
     lo: i64,
     count: usize,
@@ -50,8 +60,14 @@ struct Dim {
 /// assert_eq!(index.len(), 10);
 /// assert_eq!(index.rank(&[2, 1]), Some(4)); // after (0,0) (1,0) (1,1) (2,0)
 /// assert_eq!(index.rank(&[1, 2]), None); // j > i
+///
+/// let mut pt = [0; 2];
+/// index.point(4, &mut pt);
+/// assert_eq!(pt, [2, 1]);
+/// assert!(index.step(&mut pt));
+/// assert_eq!(pt, [2, 2]);
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DomainIndex {
     depth: usize,
     len: usize,
@@ -130,6 +146,105 @@ impl DomainIndex {
         Some(rank)
     }
 
+    /// Writes the point of rank `rank` into `out`: the inverse of
+    /// [`rank`](Self::rank). Allocation-free; div/mod on the rectangular
+    /// levels and one binary search per table level.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rank >= self.len()` or `out` is not `depth` long.
+    pub fn point(&self, rank: usize, out: &mut [i64]) {
+        assert!(
+            rank < self.len,
+            "rank {rank} outside a domain of {} points",
+            self.len
+        );
+        assert_eq!(out.len(), self.depth, "point buffer has the wrong arity");
+        let (head, tail) = out.split_at_mut(self.table.len());
+        let mut within = rank % self.block;
+        for (x, d) in tail.iter_mut().zip(&self.rect) {
+            *x = d.lo + (within / d.stride) as i64;
+            within %= d.stride;
+        }
+        // Bottom up: the span whose children hold child `at`.
+        let mut at = rank / self.block;
+        for (x, level) in head.iter_mut().zip(&self.table).rev() {
+            let k = level.partition_point(|s| s.base + s.count <= at);
+            let s = level[k];
+            *x = s.lo + (at - s.base) as i64;
+            at = k;
+        }
+    }
+
+    /// The largest innermost coordinate among the points that share
+    /// `point`'s prefix: the end of its row. `point` must lie in the domain
+    /// and have at least one coordinate. Walks step within a row by
+    /// incrementing up to this bound and call [`step`](Self::step) only
+    /// to leave it.
+    #[inline]
+    pub(crate) fn row_end(&self, point: &[i64]) -> i64 {
+        if let Some(d) = self.rect.last() {
+            return d.lo + d.count as i64 - 1;
+        }
+        // The innermost level is the last table level: descend to its span.
+        let mut s = self.table[0][0];
+        for (&x, level) in point.iter().zip(&self.table[1..]) {
+            s = level[s.base + (x - s.lo) as usize];
+        }
+        s.lo + s.count as i64 - 1
+    }
+
+    /// Moves `point`, which must lie in the domain, to its successor in
+    /// `walk_nest` order. Returns `false` when `point` was the last point,
+    /// leaving it unspecified. Allocation-free and O(depth) amortized: the
+    /// rectangular levels step like an odometer, and an empty row (as in
+    /// `for j = i+1 .. N-1`) is skipped once per prefix.
+    pub fn step(&self, point: &mut [i64]) -> bool {
+        debug_assert!(
+            self.rank(point).is_some(),
+            "{point:?} is outside the domain"
+        );
+        let (head, tail) = point.split_at_mut(self.table.len());
+        for (x, d) in tail.iter_mut().zip(&self.rect).rev() {
+            if ((*x - d.lo) as usize) + 1 < d.count {
+                *x += 1;
+                return true;
+            }
+            *x = d.lo;
+        }
+        // The rectangular block wrapped to its first point: advance the
+        // table levels.
+        !self.table.is_empty() && self.next_in(0, 0, head)
+    }
+
+    /// Advances table levels `level..` of `head`, which lie under span
+    /// `at` of `level`, to the next prefix under that span that has points.
+    fn next_in(&self, level: usize, at: usize, head: &mut [i64]) -> bool {
+        let s = self.table[level][at];
+        let off = (head[level] - s.lo) as usize;
+        let last = level + 1 == self.table.len();
+        if !last && self.next_in(level + 1, s.base + off, head) {
+            return true;
+        }
+        self.first_from(level, at, off + 1, head)
+    }
+
+    /// Sets table levels `level..` of `head` to the first prefix with
+    /// points under span `at` of `level`, starting at its child `from`.
+    fn first_from(&self, level: usize, at: usize, from: usize, head: &mut [i64]) -> bool {
+        let s = self.table[level][at];
+        let last = level + 1 == self.table.len();
+        for k in from..s.count {
+            // At the last table level every child is one (non-empty)
+            // rectangular block.
+            if last || self.first_from(level + 1, s.base + k, 0, head) {
+                head[level] = s.lo + k as i64;
+                return true;
+            }
+        }
+        false
+    }
+
     /// Number of points in the domain (the nest's trip count).
     pub fn len(&self) -> usize {
         self.len
@@ -138,6 +253,22 @@ impl DomainIndex {
     /// Whether the domain is empty.
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// The nest depth: the arity of every point.
+    pub(crate) fn depth(&self) -> usize {
+        self.depth
+    }
+
+    /// Heap bytes the index holds: its span tables and rectangular levels.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.table.capacity() * std::mem::size_of::<Vec<Span>>()
+            + self
+                .table
+                .iter()
+                .map(|l| l.capacity() * std::mem::size_of::<Span>())
+                .sum::<usize>()
+            + self.rect.capacity() * std::mem::size_of::<Dim>()
     }
 }
 
@@ -233,6 +364,41 @@ mod tests {
         assert_eq!(index.rank(&[]), None);
         assert_eq!(index.rank(&vec![i64::MIN; n.depth()]), None);
         assert_eq!(index.rank(&vec![i64::MAX; n.depth()]), None);
+        check_inverse(n, &index);
+    }
+
+    /// `point` inverts `rank`, and stepping from every start rank
+    /// reproduces the rest of `walk_nest`'s order, then stops. A step reads
+    /// nothing but its point, so one step from every point covers every
+    /// start; whole suffixes from a few starts check that steps chain.
+    fn check_inverse(n: &LoopNest, index: &DomainIndex) {
+        let mut walked = Vec::new();
+        dpm_trace::walk_nest(n, &mut |pt| walked.push(pt.to_vec()));
+        let mut pt = vec![0i64; n.depth()];
+        for (k, p) in walked.iter().enumerate() {
+            index.point(k, &mut pt);
+            assert_eq!(&pt, p, "point({k})");
+            assert_eq!(index.rank(&pt), Some(k));
+            let more = index.step(&mut pt);
+            assert_eq!(more, k + 1 < walked.len(), "step from rank {k} {p:?}");
+            if more {
+                assert_eq!(pt, walked[k + 1], "step from rank {k} {p:?}");
+            }
+        }
+        let len = walked.len();
+        let starts = if len <= 512 {
+            (0..len).collect()
+        } else {
+            vec![0, 1, len / 3, len / 2, len - 2, len - 1]
+        };
+        for start in starts {
+            index.point(start, &mut pt);
+            let mut suffix = vec![pt.clone()];
+            while index.step(&mut pt) {
+                suffix.push(pt.clone());
+            }
+            assert_eq!(suffix, walked[start..], "suffix from rank {start}");
+        }
     }
 
     #[test]
@@ -299,6 +465,26 @@ mod tests {
         check(&nest(
             "for i = 4 .. 3 { for j = 0 .. i { A[i][j][0] = 1; } }",
         ));
+    }
+
+    #[test]
+    fn empty_rows_before_between_and_after_points_are_stepped_over() {
+        // Rows i = 3 .. 6 are empty.
+        check(&nest(
+            "for i = 0 .. 6 { for j = 2*i-3 .. 5-i { A[i][j+9][0] = 1; } }",
+        ));
+        // Rows i = 0, 1 are empty, and so is the k range of j = 5, 6 inside
+        // the non-empty rows i = 5, 6.
+        check(&nest(
+            "for i = 0 .. 6 { for j = 2 .. i { for k = j .. 4 { A[i][j][k] = 1; } } }",
+        ));
+    }
+
+    #[test]
+    #[should_panic(expected = "outside a domain of 0 points")]
+    fn an_empty_domain_has_no_point_to_unrank() {
+        let n = nest("for i = 0 .. 3 { for j = 5 .. 2 { A[i][j][0] = 1; } }");
+        DomainIndex::new(&n).point(0, &mut [0, 0]);
     }
 
     #[test]

@@ -18,8 +18,12 @@
 //!   disks across all nests.
 //!
 //! All passes emit a [`Schedule`], which implements
-//! [`dpm_trace::ExecutionOrder`] and feeds directly into the trace
-//! generator and simulator.
+//! [`dpm_trace::ExecutionOrder`] and [`dpm_trace::StreamOrder`] and feeds
+//! directly into the trace generator and simulator. A schedule stores each
+//! processor's sequence in each phase as runs of consecutive dense ranks
+//! over the nests' [`DomainIndex`]es, which it owns: the untransformed order
+//! is one run per nest, and a restructured one as many runs as the
+//! clustering leaves consecutive ranks apart.
 //!
 //! ```
 //! use dpm_layout::{LayoutMap, Striping};
@@ -53,10 +57,10 @@ pub use multi::{
     affinity_classes, disk_group_owner, distribution_dims, parallelize_baseline,
     parallelize_layout_aware, region_owner, Assignment,
 };
-pub use schedule::{iteration_disk_mask, mean_disk_run_length, CompactIter, Schedule};
-pub use single::{
-    cluster_iterations, original_schedule, restructure_single, restructure_single_reference,
+pub use schedule::{
+    iteration_disk_mask, mean_disk_run_length, CompactIter, Schedule, ScheduleIter,
 };
+pub use single::{original_schedule, restructure_single, restructure_single_reference};
 pub use symbolic::{
     disk_iteration_sets, restructure_symbolic, SymbolicError, SymbolicPiece, SymbolicPlan,
 };

@@ -17,7 +17,7 @@
 //! (§5) within each processor's per-nest chunk — yielding the paper's
 //! T-…-s and T-…-m code versions.
 
-use crate::schedule::{CompactIter, Schedule};
+use crate::schedule::{Lane, Schedule};
 use crate::single::cluster_iterations;
 use dpm_ir::{outermost_parallel_loop, ArrayId, DependenceInfo, NestId, Program};
 use dpm_layout::LayoutMap;
@@ -47,7 +47,7 @@ pub fn parallelize_baseline(
     let mut sp = dpm_obs::span!("parallelize_baseline");
     sp.add("procs", u64::from(num_procs));
     sp.add("phases", program.nests.len() as u64);
-    let mut schedule = Schedule::new(num_procs, program.nests.len());
+    let mut schedule = Schedule::new(program, num_procs, program.nests.len());
     let compiled = CompiledProgram::new(program);
     for ni in 0..program.nests.len() {
         let chunks = baseline_chunks(program, deps, ni, num_procs);
@@ -86,7 +86,7 @@ pub fn parallelize_layout_aware(
     let mut sp = dpm_obs::span!("parallelize_layout_aware");
     sp.add("procs", u64::from(num_procs));
     sp.add("phases", program.nests.len() as u64);
-    let mut schedule = Schedule::new(num_procs, program.nests.len());
+    let mut schedule = Schedule::new(program, num_procs, program.nests.len());
     let compiled = CompiledProgram::new(program);
     for ni in 0..program.nests.len() {
         let nest = &program.nests[ni];
@@ -175,13 +175,14 @@ pub fn region_owner(
 }
 
 /// Block partition of the nest's outermost parallel loop; all iterations to
-/// processor 0 when no loop is parallelizable.
+/// processor 0 when no loop is parallelizable. Like `region_chunks`, it
+/// walks the nest once, counting ranks, and pushes each rank to its owner.
 fn baseline_chunks(
     program: &Program,
     deps: &DependenceInfo,
     ni: NestId,
     num_procs: u32,
-) -> Vec<Vec<CompactIter>> {
+) -> Vec<Lane> {
     let nest = &program.nests[ni];
     let parallel = outermost_parallel_loop(&deps.nest_distances(ni), nest.depth());
     let Some(k) = parallel else {
@@ -205,19 +206,19 @@ fn baseline_chunks(
         owner_of.insert(v, owner.min(num_procs - 1));
         seen += count;
     }
-    let mut chunks = vec![Vec::new(); num_procs as usize];
+    let mut chunks = vec![Lane::default(); num_procs as usize];
+    let mut rank = 0;
     dpm_trace::walk_nest(nest, &mut |pt| {
         let owner = owner_of[&pt[k]];
-        chunks[owner as usize].push(CompactIter::new(ni, pt));
+        chunks[owner as usize].push(ni, rank..rank + 1);
+        rank += 1;
     });
     chunks
 }
 
-fn serial_chunks(program: &Program, ni: NestId, num_procs: u32) -> Vec<Vec<CompactIter>> {
-    let mut chunks = vec![Vec::new(); num_procs as usize];
-    dpm_trace::walk_nest(&program.nests[ni], &mut |pt| {
-        chunks[0].push(CompactIter::new(ni, pt));
-    });
+fn serial_chunks(program: &Program, ni: NestId, num_procs: u32) -> Vec<Lane> {
+    let mut chunks = vec![Lane::default(); num_procs as usize];
+    chunks[0].push(ni, 0..program.nests[ni].trip_count() as usize);
     chunks
 }
 
@@ -280,7 +281,7 @@ fn region_chunks(
     compiled: &CompiledProgram,
     ni: NestId,
     num_procs: u32,
-) -> Vec<Vec<CompactIter>> {
+) -> Vec<Lane> {
     // Representative reference: the first write, else the first reference.
     let refs = || compiled.nest(ni).iter().flat_map(|stmt| &stmt.refs);
     let Some(rep) = refs().find(|r| r.kind.is_write()).or_else(|| refs().next()) else {
@@ -288,11 +289,13 @@ fn region_chunks(
     };
     let striping = layout.striping();
     let num_disks = striping.num_disks();
-    let mut chunks = vec![Vec::new(); num_procs as usize];
+    let mut chunks = vec![Lane::default(); num_procs as usize];
+    let mut rank = 0;
     dpm_trace::walk_nest(&program.nests[ni], &mut |pt| {
         let disk = striping.disk_of_offset(rep.offset(program, layout, pt));
         let owner = disk_group_owner(disk, num_disks, num_procs);
-        chunks[owner as usize].push(CompactIter::new(ni, pt));
+        chunks[owner as usize].push(ni, rank..rank + 1);
+        rank += 1;
     });
     chunks
 }
@@ -308,7 +311,7 @@ fn finish_phase(
     compiled: &CompiledProgram,
     deps: &DependenceInfo,
     ni: NestId,
-    mut chunks: Vec<Vec<CompactIter>>,
+    chunks: Vec<Lane>,
     cluster: bool,
     rotate: bool,
     schedule: &mut Schedule,
@@ -316,25 +319,26 @@ fn finish_phase(
     let serial = deps.nest_requires_original_order(ni) || !deps.nest_exact_distances(ni).is_empty();
     let num_disks = layout.striping().num_disks();
     let num_procs = chunks.len().max(1);
-    for (proc, chunk) in chunks.iter_mut().enumerate() {
+    for (proc, mut chunk) in chunks.into_iter().enumerate() {
         if cluster {
             let rotation = if rotate {
                 proc * num_disks / num_procs
             } else {
                 0
             };
-            cluster_iterations(program, layout, compiled, ni, chunk, serial, rotation);
+            let domains = schedule.domains();
+            chunk = cluster_iterations(
+                program, layout, compiled, domains, ni, chunk, serial, rotation,
+            );
         }
-        for it in chunk.drain(..) {
-            schedule.push(ni, proc as u32, it);
-        }
+        *schedule.lane_mut(ni, proc as u32) = chunk;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::iteration_disk_mask;
+    use crate::schedule::{iteration_disk_mask, CompactIter};
     use dpm_layout::Striping;
 
     fn setup(src: &str, striping: Striping) -> (Program, LayoutMap, DependenceInfo) {
@@ -364,7 +368,7 @@ mod tests {
         s.validate_coverage(&p).unwrap();
         // Each processor gets 8 consecutive i-values of each nest.
         for proc in 0..4u32 {
-            for it in s.iters(0, proc) {
+            for it in s.iter(0, proc) {
                 let i = it.coords()[0];
                 assert_eq!((i / 8) as u32, proc);
             }
@@ -394,7 +398,7 @@ mod tests {
         let num_disks = layout.striping().num_disks();
         for phase in 0..s.num_phases() {
             for proc in 0..4u32 {
-                for it in s.iters(phase, proc) {
+                for it in s.iter(phase, proc) {
                     let nest = &p.nests[it.nest as usize];
                     let w = nest.all_refs().find(|r| r.kind.is_write()).unwrap();
                     let coords = w.element_at(&it.coords());
@@ -454,7 +458,7 @@ mod tests {
                 .map(|proc| {
                     let mut m = 0u64;
                     for phase in 0..s.num_phases() {
-                        for it in s.iters(phase, proc) {
+                        for it in s.iter(phase, proc) {
                             m |= iteration_disk_mask(
                                 &p,
                                 &layout,
@@ -483,13 +487,13 @@ mod tests {
         );
         let s = parallelize_baseline(&p, &layout, &deps, 4, false);
         s.validate_coverage(&p).unwrap();
-        assert_eq!(s.iters(0, 0).len(), 63);
+        assert_eq!(s.len(0, 0), 63);
         for proc in 1..4 {
-            assert!(s.iters(0, proc).is_empty());
+            assert_eq!(s.len(0, proc), 0);
         }
         let a = parallelize_layout_aware(&p, &layout, &deps, 4, false);
         a.validate_coverage(&p).unwrap();
-        assert_eq!(a.iters(0, 0).len(), 63);
+        assert_eq!(a.len(0, 0), 63);
     }
 
     #[test]
@@ -506,7 +510,7 @@ mod tests {
         // Baseline partitions the parallel loop (j): each processor's j
         // values form one block.
         for proc in 0..4u32 {
-            for it in s.iters(0, proc) {
+            for it in s.iter(0, proc) {
                 let j = it.coords()[1];
                 assert_eq!((j / 8) as u32, proc);
             }
@@ -524,7 +528,7 @@ mod tests {
         for phase in 0..3 {
             for proc in 0..2u32 {
                 let mut last = 0u32;
-                for it in s.iters(phase, proc) {
+                for it in s.iter(phase, proc) {
                     let m = iteration_disk_mask(
                         &p,
                         &layout,

@@ -11,7 +11,7 @@
 //! disk visited once — the perfect disk reuse of Figure 2(c).
 
 use crate::domain::DomainIndex;
-use crate::schedule::{CompactIter, Schedule};
+use crate::schedule::{CompactIter, Lane, Schedule};
 use dpm_ir::{CrossDep, DependenceInfo, NestId, Program};
 use dpm_layout::LayoutMap;
 use dpm_trace::compile::CompiledProgram;
@@ -195,7 +195,7 @@ pub fn restructure_single(
     let mut buf = [0i64; CompactIter::MAX_DEPTH];
     let mut scheduled = vec![false; total];
     let mut nest_done = vec![0usize; tables.len()];
-    let mut out: Vec<CompactIter> = Vec::with_capacity(total);
+    let mut out = Lane::default();
     let mut remaining = total;
 
     // The while-loop of Figure 3, sweeping bitsets instead of the full pool.
@@ -224,7 +224,7 @@ pub fn restructure_single(
                     if iter_ready(&tables, id, ni, idx, &scheduled, &nest_done, &mut buf) {
                         scheduled[id] = true;
                         nest_done[ni] += 1;
-                        out.push(tables[ni].iters[idx]);
+                        out.push(ni, idx..idx + 1);
                         remaining -= 1;
                         set.words[wi] &= !(1u64 << b);
                     } else {
@@ -256,7 +256,16 @@ pub fn restructure_single(
     sp.add("rounds", rounds);
     sp.add("deferred", deferred);
     sp.add("fallbacks", fallbacks);
-    Schedule::single(out)
+    into_schedule(tables, out)
+}
+
+/// The single-phase, single-processor schedule issuing `out`, over the
+/// tables' domain indices.
+fn into_schedule(tables: Vec<NestTable>, out: Lane) -> Schedule {
+    let domains = tables.into_iter().map(|t| t.index).collect();
+    let mut schedule = Schedule::from_domains(domains, 1, 1);
+    *schedule.lane_mut(0, 0) = out;
+    schedule
 }
 
 /// Schedules the first unscheduled iteration in original order, asserting
@@ -265,7 +274,7 @@ fn fallback_schedule(
     tables: &[NestTable],
     scheduled: &mut [bool],
     nest_done: &mut [usize],
-    out: &mut Vec<CompactIter>,
+    out: &mut Lane,
     remaining: &mut usize,
     buf: &mut [i64; CompactIter::MAX_DEPTH],
 ) -> usize {
@@ -281,7 +290,7 @@ fn fallback_schedule(
             );
             scheduled[id] = true;
             nest_done[ni] += 1;
-            out.push(t.iters[idx]);
+            out.push(ni, idx..idx + 1);
             *remaining -= 1;
             return id;
         }
@@ -310,7 +319,7 @@ pub fn restructure_single_reference(
 
     let mut scheduled = vec![false; total];
     let mut nest_done = vec![0usize; tables.len()];
-    let mut out: Vec<CompactIter> = Vec::with_capacity(total);
+    let mut out = Lane::default();
     let mut remaining = total;
 
     // The while-loop of Figure 3.
@@ -337,7 +346,7 @@ pub fn restructure_single_reference(
                     if iter_ready(&tables, id, ni, idx, &scheduled, &nest_done, &mut buf) {
                         scheduled[id] = true;
                         nest_done[ni] += 1;
-                        out.push(t.iters[idx]);
+                        out.push(ni, idx..idx + 1);
                         remaining -= 1;
                     } else {
                         // Dependence-deferred: stays in Q for a later pass
@@ -362,17 +371,19 @@ pub fn restructure_single_reference(
     sp.add("rounds", rounds);
     sp.add("deferred", deferred);
     sp.add("fallbacks", fallbacks);
-    Schedule::single(out)
+    into_schedule(tables, out)
 }
 
 /// The untransformed single-processor schedule (nests in program order,
-/// iterations lexicographic) as an explicit [`Schedule`].
+/// iterations lexicographic) as an explicit [`Schedule`]: one run per
+/// nest.
 pub fn original_schedule(program: &Program) -> Schedule {
-    let mut out = Vec::new();
-    for (ni, nest) in program.nests.iter().enumerate() {
-        dpm_trace::walk_nest(nest, &mut |pt| out.push(CompactIter::new(ni, pt)));
+    let mut s = Schedule::new(program, 1, 1);
+    for ni in 0..program.nests.len() {
+        let len = s.domains()[ni].len();
+        s.push_ranks(0, 0, ni, 0..len);
     }
-    Schedule::single(out)
+    s
 }
 
 /// Orders one nest's iteration list for disk reuse: stable sort by the
@@ -386,33 +397,38 @@ pub fn original_schedule(program: &Program) -> Schedule {
 /// different processors' disk sweeps have no reason to start on the same
 /// disk; rotating by processor reproduces that interleaving.
 ///
-/// `compiled` is `program` compiled once by the calling pass.
-pub fn cluster_iterations(
+/// `compiled` is `program` compiled once by the calling pass; `iters`
+/// holds ranks of nest `nest` over `domains`, and the reordered ranks are
+/// returned.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn cluster_iterations(
     program: &Program,
     layout: &LayoutMap,
     compiled: &CompiledProgram,
+    domains: &[DomainIndex],
     nest: NestId,
-    iters: &mut Vec<CompactIter>,
+    iters: Lane,
     serial: bool,
     rotation: usize,
-) {
+) -> Lane {
     if serial {
-        return;
+        return iters;
     }
     let num_disks = layout.striping().num_disks() as u32;
     let rot = rotation as u32 % num_disks.max(1);
-    let mut buf = [0i64; CompactIter::MAX_DEPTH];
-    let mut keyed: Vec<(u32, CompactIter)> = iters
-        .iter()
-        .map(|it| {
-            let coords = it.coords_into(&mut buf);
-            let mask = compiled.disk_mask(program, layout, nest, coords);
-            let primary = if mask == 0 { 0 } else { mask.trailing_zeros() };
-            ((primary + num_disks - rot) % num_disks, *it)
-        })
-        .collect();
+    let mut keyed: Vec<(u32, u32)> = Vec::with_capacity(iters.len());
+    let mut walk = iters.walk(domains);
+    while let Some((_, rank)) = walk.advance() {
+        let mask = compiled.disk_mask(program, layout, nest, walk.coords());
+        let primary = if mask == 0 { 0 } else { mask.trailing_zeros() };
+        keyed.push(((primary + num_disks - rot) % num_disks, rank as u32));
+    }
     keyed.sort_by_key(|&(d, _)| d); // stable: preserves lex order per disk
-    *iters = keyed.into_iter().map(|(_, it)| it).collect();
+    let mut out = Lane::default();
+    for (_, rank) in keyed {
+        out.push(nest, rank as usize..rank as usize + 1);
+    }
+    out
 }
 
 fn build_tables(program: &Program, deps: &DependenceInfo) -> Vec<NestTable> {
@@ -508,7 +524,7 @@ mod tests {
         // visited exactly once).
         let mut buf = [0i64; CompactIter::MAX_DEPTH];
         let mut last = 0u32;
-        for it in s.iters(0, 0) {
+        for it in s.iter(0, 0) {
             let m = iteration_disk_mask(&p, &layout, it.nest as usize, it.coords_into(&mut buf));
             let d = m.trailing_zeros();
             assert!(d >= last, "disk went backwards: {d} after {last}");
@@ -545,7 +561,7 @@ mod tests {
         );
         let s = restructure_single(&p, &layout, &deps);
         s.validate_coverage(&p).unwrap();
-        let order: Vec<i64> = s.iters(0, 0).iter().map(|it| it.coords()[0]).collect();
+        let order: Vec<i64> = s.iter(0, 0).map(|it| it.coords()[0]).collect();
         let pos = |v: i64| order.iter().position(|&x| x == v).unwrap();
         for i in 6..256 {
             assert!(
@@ -567,7 +583,7 @@ mod tests {
         assert!(deps.nest_requires_original_order(0));
         let s = restructure_single(&p, &layout, &deps);
         s.validate_coverage(&p).unwrap();
-        let pts: Vec<Vec<i64>> = s.iters(0, 0).iter().map(|it| it.coords()).collect();
+        let pts: Vec<Vec<i64>> = s.iter(0, 0).map(|it| it.coords()).collect();
         let mut sorted = pts.clone();
         sorted.sort();
         assert_eq!(pts, sorted, "serial nest was reordered");
@@ -587,7 +603,7 @@ mod tests {
         s.validate_coverage(&p).unwrap();
         use std::collections::HashMap;
         let mut pos: HashMap<(u16, Vec<i64>), usize> = HashMap::new();
-        for (k, it) in s.iters(0, 0).iter().enumerate() {
+        for (k, it) in s.iter(0, 0).enumerate() {
             pos.insert((it.nest, it.coords()), k);
         }
         for i in 0..32i64 {
@@ -613,8 +629,9 @@ mod tests {
             .any(|c| matches!(c, dpm_ir::CrossDep::Barrier { .. })));
         let s = restructure_single(&p, &layout, &deps);
         s.validate_coverage(&p).unwrap();
-        let first_l2 = s.iters(0, 0).iter().position(|it| it.nest == 1).unwrap();
-        let last_l1 = s.iters(0, 0).iter().rposition(|it| it.nest == 0).unwrap();
+        let order: Vec<CompactIter> = s.iter(0, 0).collect();
+        let first_l2 = order.iter().position(|it| it.nest == 1).unwrap();
+        let last_l1 = order.iter().rposition(|it| it.nest == 0).unwrap();
         assert!(last_l1 < first_l2, "L2 started before L1 finished");
     }
 
@@ -666,8 +683,7 @@ mod tests {
             let (p, layout, deps) = setup(src, Striping::new(512, 4, 0));
             let fast = restructure_single(&p, &layout, &deps);
             let reference = restructure_single_reference(&p, &layout, &deps);
-            assert_eq!(fast.num_phases(), reference.num_phases(), "{src}");
-            assert_eq!(fast.iters(0, 0), reference.iters(0, 0), "{src}");
+            assert_eq!(fast, reference, "{src}");
         }
     }
 
@@ -734,22 +750,26 @@ mod tests {
              nest L { for i = 0 .. 63 { for j = 0 .. 7 { A[i][j] = 1; } } }",
             Striping::new(512, 4, 0),
         );
-        let mut iters = Vec::new();
-        dpm_trace::walk_nest(&p.nests[0], &mut |pt| iters.push(CompactIter::new(0, pt)));
+        let domains = [DomainIndex::new(&p.nests[0])];
         // Shuffle deterministically by reversing.
-        iters.reverse();
-        cluster_iterations(
+        let mut iters = Lane::default();
+        for rank in (0..domains[0].len()).rev() {
+            iters.push(0, rank..rank + 1);
+        }
+        let iters = cluster_iterations(
             &p,
             &layout,
             &CompiledProgram::new(&p),
+            &domains,
             0,
-            &mut iters,
+            iters,
             false,
             0,
         );
+        assert_eq!(iters.len(), 64 * 8);
         let mut buf = [0i64; CompactIter::MAX_DEPTH];
         let mut last = 0;
-        for it in &iters {
+        for it in iters.walk(&domains) {
             let d = iteration_disk_mask(&p, &layout, 0, it.coords_into(&mut buf)).trailing_zeros();
             assert!(d >= last);
             last = d;

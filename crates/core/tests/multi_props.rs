@@ -47,7 +47,7 @@ fn arb_striping() -> impl Strategy<Value = Striping> {
 /// Returns per-(phase, proc) iteration counts.
 fn loads(s: &Schedule) -> Vec<Vec<usize>> {
     (0..s.num_phases())
-        .map(|ph| (0..s.num_procs()).map(|p| s.iters(ph, p).len()).collect())
+        .map(|ph| (0..s.num_procs()).map(|p| s.len(ph, p)).collect())
         .collect()
 }
 
@@ -94,7 +94,7 @@ proptest! {
                 continue;
             }
             for proc in 0..procs {
-                for it in sched.iters(ph, proc) {
+                for it in sched.iter(ph, proc) {
                     let nest = &p.nests[it.nest as usize];
                     let Some(w) = nest.all_refs().find(|r| r.kind.is_write()) else {
                         continue;
@@ -116,7 +116,7 @@ proptest! {
         let sched = parallelize_baseline(&p, &layout, &deps, 1, false);
         prop_assert_eq!(sched.num_phases(), p.nests.len());
         for (ph, nest) in p.nests.iter().enumerate() {
-            let got: Vec<Vec<i64>> = sched.iters(ph, 0).iter().map(|it| it.coords()).collect();
+            let got: Vec<Vec<i64>> = sched.iter(ph, 0).map(|it| it.coords()).collect();
             prop_assert_eq!(got, nest.iterations());
         }
     }

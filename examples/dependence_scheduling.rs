@@ -44,7 +44,7 @@ nest L {
             run.clear();
         }
     };
-    for it in schedule.iters(0, 0) {
+    for it in schedule.iter(0, 0) {
         let i = it.coords()[0];
         let d = layout.disk_of_element(&program, 0, &[i]);
         if d != last_disk {
@@ -58,11 +58,7 @@ nest L {
     flush(last_disk, &mut run);
 
     // Verify legality explicitly: every predecessor runs first.
-    let order: Vec<i64> = schedule
-        .iters(0, 0)
-        .iter()
-        .map(|it| it.coords()[0])
-        .collect();
+    let order: Vec<i64> = schedule.iter(0, 0).map(|it| it.coords()[0]).collect();
     let pos = |v: i64| order.iter().position(|&x| x == v).unwrap();
     for i in 6..64 {
         assert!(

@@ -15,7 +15,7 @@ fn footprints(program: &Program, layout: &LayoutMap, schedule: &Schedule) -> Vec
             (0..schedule.num_procs())
                 .map(|proc| {
                     let mut mask = 0u64;
-                    for it in schedule.iters(phase, proc) {
+                    for it in schedule.iter(phase, proc) {
                         mask |=
                             iteration_disk_mask(program, layout, it.nest as usize, &it.coords());
                     }

@@ -137,7 +137,7 @@ fn build_oracle_tiny() -> Json {
     // The same bursts on two processors, one nest per phase: disk 1
     // idles through phase 0 and disk 0 through phase 1, which pins the
     // phase-granularity windows with content.
-    let mut two_phase = Schedule::new(2, 2);
+    let mut two_phase = Schedule::new(&burst, 2, 2);
     for (ni, nest) in burst.nests.iter().enumerate() {
         dpm_trace::walk_nest(nest, &mut |pt| {
             two_phase.push(ni, ni as u32, dpm_core::CompactIter::new(ni, pt))

@@ -238,7 +238,7 @@ fn multi_cpu_layout_aware_localizes_disks_for_aligned_apps() {
     let num_disks = striping.num_disks();
     for phase in 0..s.num_phases() {
         for proc in 0..4u32 {
-            for it in s.iters(phase, proc) {
+            for it in s.iter(phase, proc) {
                 let nest = &program.nests[it.nest as usize];
                 let w = nest.all_refs().find(|r| r.kind.is_write()).unwrap();
                 let coords = w.element_at(&it.coords());

@@ -387,12 +387,12 @@ mod proptests {
             let sched = apply_transform(&p, &layout, &deps, Transform::DiskReuse);
             // Position of every iteration in the schedule.
             let mut pos = std::collections::HashMap::new();
-            for (k, it) in sched.iters(0, 0).iter().enumerate() {
+            for (k, it) in sched.iter(0, 0).enumerate() {
                 pos.insert((it.nest, it.coords()), k);
             }
             for ni in 0..p.nests.len() {
                 for d in deps.nest_exact_distances(ni) {
-                    for it in sched.iters(0, 0).iter().filter(|it| it.nest as usize == ni) {
+                    for it in sched.iter(0, 0).filter(|it| it.nest as usize == ni) {
                         let pt = it.coords();
                         let pred: Vec<i64> = pt.iter().zip(&d).map(|(a, b)| a - b).collect();
                         if let Some(&pp) = pos.get(&(it.nest, pred)) {
