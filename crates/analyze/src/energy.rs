@@ -18,7 +18,8 @@
 //!   spin-down / pre-activation opportunities;
 //! * **energy bounds** `[energy_lower_j, energy_upper_j]` that provably
 //!   contain the simulated energy of the fault-free run under the given
-//!   [`PowerPolicy`] (the oracle-gate contract checked by `oracle_bench`).
+//!   [`PowerPolicy`] (the soundness contract `tests/oracle_golden.rs`
+//!   checks against the simulator).
 //!
 //! Soundness sketch (full argument in DESIGN §16): the makespan is at
 //! least the largest per-disk transfer time of the *guaranteed* bytes at
@@ -155,7 +156,7 @@ impl PredictedReport {
             .sum()
     }
 
-    /// JSON form (golden snapshots and the `oracle_bench` record).
+    /// JSON form (the `tests/golden/oracle_tiny.json` snapshot).
     pub fn to_json(&self) -> Json {
         let pos = |p: &Option<SchedulePos>| match p {
             Some(p) => Json::Arr(vec![

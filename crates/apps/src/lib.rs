@@ -43,8 +43,8 @@ pub enum Scale {
     /// application) — used by the experiment harness.
     Paper,
     /// 1/2 linear scale — large enough that point-enumeration costs
-    /// dominate; the target scale for the closed-form counting and cached
-    /// projection-chain benchmarks (`poly_bench`).
+    /// dominate; the geometry of the closed-form counting and cached
+    /// projection-chain microbenches (`cargo bench --bench poly_ops`).
     Large,
     /// 1/8 linear scale — fast enough for integration tests.
     Small,

@@ -1,12 +1,16 @@
 //! Micro-benchmarks for the compiler passes: parsing, dependence
-//! analysis, single-processor restructuring (Figure 3), and the two
-//! parallelization schemes (§6), measured on the benchmark applications.
+//! analysis, single-processor restructuring (Figure 3, bitset engine vs
+//! the reference engine), and the two parallelization schemes (§6),
+//! measured on the benchmark applications.
 //!
 //! Manual harness (`dpm_bench::microbench`); run with `cargo bench`.
 
 use dpm_apps::Scale;
 use dpm_bench::microbench::{bench, group};
-use dpm_core::{parallelize_baseline, parallelize_layout_aware, restructure_single};
+use dpm_core::{
+    parallelize_baseline, parallelize_layout_aware, restructure_single,
+    restructure_single_reference,
+};
 use dpm_layout::LayoutMap;
 
 fn main() {
@@ -34,6 +38,18 @@ fn main() {
             restructure_single(&p, &layout, &deps)
         });
     }
+
+    group("restructure_single_engines (AST, Tiny)");
+    let app = dpm_apps::by_name("AST", Scale::Tiny).unwrap();
+    let p = app.program();
+    let layout = LayoutMap::new(&p, dpm_apps::paper_striping());
+    let deps = dpm_ir::analyze(&p);
+    bench("restructure_single/bitset", || {
+        restructure_single(&p, &layout, &deps)
+    });
+    bench("restructure_single/reference", || {
+        restructure_single_reference(&p, &layout, &deps)
+    });
 
     group("parallelize");
     let app = dpm_apps::by_name("AST", Scale::Small).unwrap();

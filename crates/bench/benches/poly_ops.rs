@@ -1,20 +1,25 @@
 //! Micro-benchmarks for the polyhedral engine (the Omega substitute):
-//! Fourier–Motzkin projection, set difference, emptiness, and scanning-loop
-//! generation — the machinery the restructurer leans on.
+//! Fourier–Motzkin projection, set difference, emptiness, point counting
+//! (closed form vs enumeration, cached vs fresh queries), and
+//! scanning-loop generation — the machinery the restructurer leans on.
 //!
 //! Manual harness (`dpm_bench::microbench`); run with `cargo bench`.
 
 use dpm_bench::microbench::{bench, group};
 use dpm_poly::{Constraint, LinExpr, Polyhedron, ScanNest, Set};
 
-/// `{ (i, j) | 0 <= i < n, 0 <= j <= i }`.
-fn triangle(n: i64) -> Polyhedron {
+/// `{ (i, j) | 0 <= i < n, 0 <= j < n }`.
+fn square(n: i64) -> Polyhedron {
     Polyhedron::universe(2)
         .with_range(0, 0, n - 1)
         .with_range(1, 0, n - 1)
-        .with(Constraint::geq_zero(
-            LinExpr::var(2, 0).minus(&LinExpr::var(2, 1)),
-        ))
+}
+
+/// `{ (i, j) | 0 <= i < n, 0 <= j <= i }`.
+fn triangle(n: i64) -> Polyhedron {
+    square(n).with(Constraint::geq_zero(
+        LinExpr::var(2, 0).minus(&LinExpr::var(2, 1)),
+    ))
 }
 
 /// The stripe-congruence polyhedron the symbolic restructurer builds:
@@ -94,6 +99,35 @@ fn main() {
             &LinExpr::constant(3, 150),
         ));
     bench("emptiness_nontrivial", || p.is_empty());
+
+    // Footprint shapes at `Scale::Large` geometry (1024 / 2 = 512-wide
+    // arrays). A fresh polyhedron per iteration, so the closed form pays
+    // its cache build: construction + query on both sides.
+    group("count_points");
+    for (shape, build) in [
+        ("square", square as fn(i64) -> Polyhedron),
+        ("triangle", triangle),
+    ] {
+        bench(&format!("count_points/{shape}/closed"), || {
+            build(512).count_points()
+        });
+        bench(&format!("count_points/{shape}/enumerated"), || {
+            build(512).count_points_enumerated()
+        });
+    }
+
+    group("cached_queries");
+    // One value queried repeatedly (everything after the first query is a
+    // cache hit) vs a fresh polyhedron per round (every query rebuilds its
+    // projection chain).
+    let warm = triangle(512);
+    bench("cached_queries/same_value", || {
+        (warm.count_points(), warm.is_empty(), warm.lexmax())
+    });
+    bench("cached_queries/fresh_value", || {
+        let p = triangle(512);
+        (p.count_points(), p.is_empty(), p.lexmax())
+    });
 
     group("scan_codegen");
     for n in [64i64, 256] {

@@ -101,50 +101,6 @@ fn main() {
             );
         }
     }
-    // Opt-in tier axis (`DPM_TIER=1`): the heterogeneous-storage sweep of
-    // `tier_bench`, printed as a third part and embedded in the JSON
-    // report. Off by default so the standard figure (and its golden
-    // snapshot) is byte-identical to the flat-only runs.
-    if dpm_bench::tier_axis_enabled() {
-        let tier_config = dpm_bench::TierSweepConfig::default();
-        let sweep = dpm_bench::run_tier_suite(scale, &tier_config);
-        println!(
-            "\nFigure 9(c): tiered placement, energy normalized to the flat array \
-             ({} fast + {} cold disks)",
-            tier_config.fast_disks, tier_config.cold_disks
-        );
-        let scenarios = dpm_bench::TierScenario::all();
-        print!("{:<12}", "App");
-        for s in &scenarios {
-            print!(" {:>9}", s.label());
-        }
-        println!();
-        for app in &sweep {
-            let flat = app
-                .energy(dpm_bench::TierScenario::Flat)
-                .expect("flat scenario");
-            print!("{:<12}", app.app);
-            for s in &scenarios {
-                print!(" {:>9.3}", app.energy(*s).expect("scenario") / flat);
-            }
-            println!();
-        }
-        print!("{:<12}", "avg saving");
-        for s in &scenarios {
-            let avg = mean(
-                &sweep
-                    .iter()
-                    .map(|a| {
-                        1.0 - a.energy(*s).unwrap()
-                            / a.energy(dpm_bench::TierScenario::Flat).unwrap()
-                    })
-                    .collect::<Vec<_>>(),
-            );
-            print!(" {:>9}", pct(avg));
-        }
-        println!();
-        report = report.with_field("tier_sweep", dpm_bench::tier_sweep_json(&sweep));
-    }
 
     if let Some(path) = csv_path {
         std::fs::write(&path, csv).expect("write csv");

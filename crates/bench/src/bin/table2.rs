@@ -108,41 +108,6 @@ fn main() {
         "note: data sizes are scaled down from the paper's testbed; request\n\
          counts scale with data size at matched average request size."
     );
-    // Opt-in tier axis (`DPM_TIER=1`): per-application energy under the
-    // four heterogeneous-storage placement scenarios, embedded in the JSON
-    // report. Off by default so the standard table (and its golden
-    // snapshot) is byte-identical to the flat-only runs.
-    if dpm_bench::tier_axis_enabled() {
-        let tier_config = dpm_bench::TierSweepConfig::default();
-        let sweep = dpm_bench::run_tier_suite(scale, &tier_config);
-        println!(
-            "\ntiered placement energy (J), {} fast + {} cold disks:",
-            tier_config.fast_disks, tier_config.cold_disks
-        );
-        println!(
-            "{:<12} {:>12} {:>12} {:>12} {:>12} {:>6}",
-            "Name", "flat", "compiler", "heuristic", "migrated", "moves"
-        );
-        for app in &sweep {
-            let migrated = app
-                .results
-                .iter()
-                .find(|r| r.scenario == dpm_bench::TierScenario::OnlineMigrated)
-                .expect("migrated scenario");
-            let moves = migrated.report.tiers.as_ref().map_or(0, |t| t.events.len());
-            println!(
-                "{:<12} {:>12.1} {:>12.1} {:>12.1} {:>12.1} {:>6}",
-                app.app,
-                app.energy(dpm_bench::TierScenario::Flat).unwrap(),
-                app.energy(dpm_bench::TierScenario::CompilerPlaced).unwrap(),
-                app.energy(dpm_bench::TierScenario::HeuristicPlaced)
-                    .unwrap(),
-                app.energy(dpm_bench::TierScenario::OnlineMigrated).unwrap(),
-                moves,
-            );
-        }
-        report = report.with_field("tier_sweep", dpm_bench::tier_sweep_json(&sweep));
-    }
     if let Some(c) = &collector {
         report.add_pass_timings(&c.snapshot());
     }

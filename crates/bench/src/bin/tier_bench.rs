@@ -1,84 +1,19 @@
-//! Tiered-storage benchmark and placement-quality gate.
+//! Tiered-placement report: the whole suite through the four placement
+//! scenarios of [`dpm_bench::tier`] — flat homogeneous baseline,
+//! compiler-guided placement, heat-blind heuristic placement, and online
+//! hot/cold migration — on the same hardware budget and the same spilled
+//! trace.
 //!
-//! Runs the whole suite through the four placement scenarios of
-//! [`dpm_bench::tier`] — flat homogeneous baseline, compiler-guided
-//! placement, heat-blind heuristic placement, and online hot/cold
-//! migration — on the same hardware budget and the same spilled trace,
-//! then gates on the claims the tier subsystem makes:
+//! Prints two tables: each scenario's absolute energy and migration
+//! count per app, then energy normalized to the flat array with the
+//! average saving. The placement claims are tests:
+//! `tests/tier_determinism.rs` requires the compiler placement to beat
+//! the flat array and never lose to the heuristic, per app.
 //!
-//! * `compiler_beats_flat` — mean modeled energy of the compiler-guided
-//!   placement is below the flat baseline's;
-//! * `compiler_not_worse_than_heuristic` — static knowledge never loses
-//!   to the heat-blind competitor on mean energy;
-//! * `single_class_identity` — a single-class tier configuration with a
-//!   file-order placement reproduces the flat simulator *bit for bit*
-//!   (the regression anchor for every pre-tier golden);
-//! * `migration_accounting` — every migrated scenario's read/write bytes
-//!   balance (2× the logical bytes of its migration events).
-//!
-//! Usage: `tier_bench [tiny|small|large|paper] [out-path]`
-//! (defaults: `tiny`, `BENCH_tier.json`).
+//! Usage: `tier_bench [tiny|small|large|paper]` (default `tiny`).
 
 use dpm_apps::Scale;
-use dpm_bench::{mean, run_tier_suite, BenchRecord, GateStatus, TierScenario, TierSweepConfig};
-use dpm_disksim::{DiskClass, PowerPolicy, Simulator, TierConfig, TpmConfig};
-use dpm_layout::{LayoutMap, PlacementPlan, TieredVolume};
-use dpm_obs::Json;
-use std::time::Instant;
-
-/// Byte-identity of the flat simulator and a single-class tiered run on
-/// the AST Tiny trace: same per-disk stats, same energy bits, with only
-/// the tier summary added. Returns an error message on divergence.
-fn single_class_identity() -> Result<(), String> {
-    let config = TierSweepConfig::default();
-    let striping = config.striping();
-    let app = dpm_apps::by_name("AST", Scale::Tiny).expect("AST app");
-    let program = app.program();
-    let layout = LayoutMap::new(&program, striping);
-    let gen = dpm_trace::TraceGenerator::new(
-        &program,
-        &layout,
-        dpm_trace::TraceGenOptions {
-            max_request_bytes: striping.stripe_unit(),
-            ..dpm_trace::TraceGenOptions::default()
-        },
-    );
-    let order = dpm_trace::OriginalOrder::new(&program);
-    let (trace, _) = gen.generate(&order);
-
-    let perf = DiskClass::performance();
-    let policy = PowerPolicy::Tpm(TpmConfig::default());
-    let params = perf.params;
-    let flat = Simulator::new(params, policy, striping).run(&trace);
-
-    let sizes: Vec<u64> = (0..layout.num_files())
-        .map(|a| layout.file_len(a))
-        .collect();
-    let plan = PlacementPlan::uniform(0, &sizes);
-    let tier_cfg = TierConfig::single_class(striping.stripe_unit(), perf, striping.num_disks());
-    let vol = TieredVolume::new(&layout, tier_cfg.topology(), &plan);
-    let tiered = Simulator::new(params, policy, striping)
-        .with_tiers(tier_cfg, vol)
-        .run(&trace);
-
-    if flat.total_energy_j().to_bits() != tiered.total_energy_j().to_bits() {
-        return Err(format!(
-            "energy diverged: flat {} J vs single-class {} J",
-            flat.total_energy_j(),
-            tiered.total_energy_j()
-        ));
-    }
-    let mut a = flat;
-    let mut b = tiered;
-    a.obs_run = 0;
-    b.obs_run = 0;
-    b.tiers = None;
-    let (a, b) = (format!("{a:?}"), format!("{b:?}"));
-    if a != b {
-        return Err("reports diverged beyond the tier summary".into());
-    }
-    Ok(())
-}
+use dpm_bench::{mean, pct, run_tier_suite, TierScenario, TierSweepConfig};
 
 fn main() {
     dpm_obs::init_from_env();
@@ -88,131 +23,68 @@ fn main() {
         Some("small") => Scale::Small,
         _ => Scale::Tiny,
     };
-    let out_path = std::env::args()
-        .nth(2)
-        .unwrap_or_else(|| "BENCH_tier.json".into());
-    let threads = dpm_exec::num_threads();
     let config = TierSweepConfig::default();
     println!(
-        "tier_bench: suite at {scale:?}, {} fast + {} cold disks, fast tier holds {:.0}% of each app, {threads} threads",
+        "tier_bench: suite at {scale:?}, {} fast + {} cold disks, fast tier holds {:.0}% of \
+         each app, {} thread(s)",
         config.fast_disks,
         config.cold_disks,
-        config.fast_fraction * 100.0
+        config.fast_fraction * 100.0,
+        dpm_exec::num_threads()
     );
-
-    let t = Instant::now();
     let sweep = run_tier_suite(scale, &config);
-    let sweep_ms = t.elapsed().as_secs_f64() * 1e3;
+    let scenarios = TierScenario::all();
+    let energy = |app: &dpm_bench::TierAppResults, s: TierScenario| {
+        app.energy(s).expect("run_tier_suite runs every scenario")
+    };
 
-    let mut per_scenario: Vec<(TierScenario, Vec<f64>)> = TierScenario::all()
-        .into_iter()
-        .map(|s| (s, Vec::new()))
-        .collect();
-    let mut rows = Vec::new();
-    let mut migration_balanced = true;
-    println!(
-        "  {:<10} {:>14} {:>14} {:>14} {:>14} {:>9}",
-        "app", "flat J", "compiler J", "heuristic J", "migrated J", "moves"
-    );
+    println!("\nenergy (J)");
+    print!("{:<12}", "App");
+    for s in scenarios {
+        print!(" {:>14}", s.label());
+    }
+    println!(" {:>6}", "moves");
     for app in &sweep {
-        let mut row: Vec<(String, Json)> = vec![("app".into(), Json::Str(app.app.into()))];
-        for (scenario, values) in &mut per_scenario {
-            let e = app.energy(*scenario).expect("scenario missing");
-            values.push(e);
-            row.push((format!("{}_energy_j", scenario.label()), Json::F64(e)));
+        print!("{:<12}", app.app);
+        for s in scenarios {
+            print!(" {:>14.1}", energy(app, s));
         }
-        let migrated = app
+        let moves = app
             .results
             .iter()
             .find(|r| r.scenario == TierScenario::OnlineMigrated)
-            .expect("migrated scenario missing");
-        let tiers = migrated.report.tiers.as_ref().expect("tier report");
-        let event_bytes: u64 = tiers.events.iter().map(|e| e.bytes).sum();
-        if migrated.report.total_migration_bytes() != 2 * event_bytes {
-            migration_balanced = false;
+            .and_then(|r| r.report.tiers.as_ref())
+            .map_or(0, |t| t.events.len());
+        println!(" {moves:>6}");
+    }
+    print!("{:<12}", "mean");
+    for s in scenarios {
+        let m = mean(&sweep.iter().map(|a| energy(a, s)).collect::<Vec<_>>());
+        print!(" {m:>14.1}");
+    }
+    println!();
+
+    println!("\nenergy normalized to the flat array");
+    print!("{:<12}", "App");
+    for s in scenarios {
+        print!(" {:>9}", s.label());
+    }
+    println!();
+    for app in &sweep {
+        let flat = energy(app, TierScenario::Flat);
+        print!("{:<12}", app.app);
+        for s in scenarios {
+            print!(" {:>9.3}", energy(app, s) / flat);
         }
-        row.push((
-            "migration_moves".into(),
-            Json::U64(tiers.events.len() as u64),
-        ));
-        println!(
-            "  {:<10} {:>14.1} {:>14.1} {:>14.1} {:>14.1} {:>9}",
-            app.app,
-            app.energy(TierScenario::Flat).unwrap(),
-            app.energy(TierScenario::CompilerPlaced).unwrap(),
-            app.energy(TierScenario::HeuristicPlaced).unwrap(),
-            app.energy(TierScenario::OnlineMigrated).unwrap(),
-            tiers.events.len()
-        );
-        rows.push(Json::Obj(row));
+        println!();
     }
-
-    let scale_label = format!("{scale:?}");
-    let mut record = BenchRecord::new("tier_bench", &scale_label, threads);
-    record.metric("tier_sweep_ms", sweep_ms);
-    let mut means = std::collections::BTreeMap::new();
-    for (scenario, values) in &per_scenario {
-        let m = mean(values);
-        means.insert(*scenario, m);
-        record.metric(&format!("tier_{}_energy_j_mean", scenario.label()), m);
+    print!("{:<12}", "avg saving");
+    for s in scenarios {
+        let savings: Vec<f64> = sweep
+            .iter()
+            .map(|a| 1.0 - energy(a, s) / energy(a, TierScenario::Flat))
+            .collect();
+        print!(" {:>9}", pct(mean(&savings)));
     }
-    let flat = means[&TierScenario::Flat];
-    let compiler = means[&TierScenario::CompilerPlaced];
-    let heuristic = means[&TierScenario::HeuristicPlaced];
-    record.metric("tier_compiler_savings_x", flat / compiler.max(1e-12));
-    record.context("apps", Json::Arr(rows));
-
-    let beats_flat = compiler < flat;
-    record.gate(
-        "compiler_beats_flat",
-        if beats_flat {
-            GateStatus::Pass
-        } else {
-            GateStatus::Fail
-        },
-        format!("compiler {compiler:.1} J vs flat {flat:.1} J (mean over suite)"),
-    );
-    let not_worse = compiler <= heuristic;
-    record.gate(
-        "compiler_not_worse_than_heuristic",
-        if not_worse {
-            GateStatus::Pass
-        } else {
-            GateStatus::Fail
-        },
-        format!("compiler {compiler:.1} J vs heuristic {heuristic:.1} J (mean over suite)"),
-    );
-    let identity = single_class_identity();
-    record.gate(
-        "single_class_identity",
-        if identity.is_ok() {
-            GateStatus::Pass
-        } else {
-            GateStatus::Fail
-        },
-        identity
-            .err()
-            .unwrap_or_else(|| "single-class tiered run bit-identical to flat".into()),
-    );
-    record.gate(
-        "migration_accounting",
-        if migration_balanced {
-            GateStatus::Pass
-        } else {
-            GateStatus::Fail
-        },
-        "per-app migration bytes == 2x logical event bytes",
-    );
-
-    println!(
-        "  mean: flat {flat:.1} J, compiler {compiler:.1} J ({:.1}% saved), heuristic {heuristic:.1} J, migrated {:.1} J",
-        (1.0 - compiler / flat) * 100.0,
-        means[&TierScenario::OnlineMigrated]
-    );
-    record.write(&out_path).expect("write BENCH_tier.json");
-    println!("wrote {out_path}");
-    if record.any_gate_failed() {
-        eprintln!("tier_bench: FAIL — see gates above");
-        std::process::exit(1);
-    }
+    println!();
 }

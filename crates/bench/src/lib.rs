@@ -20,15 +20,12 @@
 #![warn(missing_docs)]
 
 pub mod microbench;
-pub mod record;
 pub mod report;
 pub mod tier;
 
-pub use record::{BenchRecord, GateStatus};
 pub use report::RunReport;
 pub use tier::{
-    run_tier_app, run_tier_suite, tier_axis_enabled, tier_sweep_json, TierAppResults, TierScenario,
-    TierScenarioResult, TierSweepConfig,
+    run_tier_app, run_tier_suite, TierAppResults, TierScenario, TierScenarioResult, TierSweepConfig,
 };
 
 use dpm_apps::BenchApp;

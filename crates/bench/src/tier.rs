@@ -247,41 +247,6 @@ pub fn run_tier_app(
     }
 }
 
-/// Whether the experiment bins should add the tier-scenario axis to their
-/// output: opt-in via a non-empty, non-`"0"` `DPM_TIER` environment
-/// variable, so default runs (and their golden snapshots) are unchanged.
-pub fn tier_axis_enabled() -> bool {
-    std::env::var("DPM_TIER").is_ok_and(|v| !v.is_empty() && v != "0")
-}
-
-/// The tier sweep as machine-readable rows for a `RunReport` field:
-/// per app, each scenario's energy and (for tiered scenarios) its
-/// migration count.
-pub fn tier_sweep_json(sweep: &[TierAppResults]) -> dpm_obs::Json {
-    use dpm_obs::Json;
-    Json::Arr(
-        sweep
-            .iter()
-            .map(|app| {
-                let mut row: Vec<(String, Json)> = vec![("app".into(), Json::Str(app.app.into()))];
-                for r in &app.results {
-                    row.push((
-                        format!("{}_energy_j", r.scenario.label()),
-                        Json::F64(r.energy_j),
-                    ));
-                    if let Some(t) = &r.report.tiers {
-                        row.push((
-                            format!("{}_migrations", r.scenario.label()),
-                            Json::U64(t.events.len() as u64),
-                        ));
-                    }
-                }
-                Json::Obj(row)
-            })
-            .collect(),
-    )
-}
-
 /// Runs the whole suite at `scale` through all four scenarios, cells in
 /// parallel on the `DPM_THREADS` pool, results in suite order.
 pub fn run_tier_suite(scale: dpm_apps::Scale, config: &TierSweepConfig) -> Vec<TierAppResults> {

@@ -14,7 +14,7 @@ use dpm_faults::FaultPlan;
 use std::fmt::Write as _;
 
 /// Canonical rendering with run ids and wall times excluded; floats are
-/// rendered from their bit patterns (the `chaos_bench` contract).
+/// rendered from their bit patterns, so a last-ulp divergence shows.
 fn canonical(res: &AppResults) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "app={} procs={}", res.app, res.procs);

@@ -301,7 +301,7 @@ fn fallback_schedule(
 /// The pre-bitset Figure 3 engine: every disk pass filters the *entire*
 /// iteration pool against the disk's mask bit. Kept as the enumeration
 /// reference for the equivalence suite (`tests/poly_equivalence.rs`) and
-/// the `poly_bench` before/after microbenches; [`restructure_single`] must
+/// the `compiler_passes` engine microbench; [`restructure_single`] must
 /// produce a bit-identical schedule.
 pub fn restructure_single_reference(
     program: &Program,

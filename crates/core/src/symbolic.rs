@@ -240,7 +240,7 @@ fn qd_polyhedron(
 ///
 /// This is the affinity-footprint form of Figure 3's `Q_d`, the input both
 /// to the `SetOrder` trace-generation path and to the closed-form
-/// `count_points` footprint queries benchmarked in `poly_bench`.
+/// `count_points` footprint queries.
 ///
 /// # Errors
 ///

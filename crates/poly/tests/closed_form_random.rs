@@ -15,9 +15,14 @@
 //!   equals the same query on a freshly built copy,
 //! * repeated queries on one value stay stable, and `add` invalidates the
 //!   cache rather than serving stale answers.
+//!
+//! One more test pins why the closed forms exist: they count a box far
+//! too large to enumerate, exactly and within a deadline.
 
 use dpm_obs::XorShift64Star;
 use dpm_poly::{Constraint, LinExpr, Polyhedron};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::time::Duration;
 
 const CASES: u64 = 200;
 const SEED: u64 = 0xD15C_2006;
@@ -128,4 +133,38 @@ fn add_invalidates_cache_on_random_polyhedra() {
             "bbox after add: {ctx}"
         );
     }
+}
+
+/// A 2^20 × 2^20 box and its triangle `j <= i`: 2^40 and 2^39 + 2^19
+/// points. The closed forms count them in microseconds; enumeration, at
+/// ~0.4 µs per point, would take days. The count runs on its own thread
+/// so that a fallback to enumeration fails at the deadline instead of
+/// hanging the suite; on timeout that thread is left running and ends
+/// with the test process.
+#[test]
+fn closed_form_counts_a_trillion_points_within_deadline() {
+    let n = 1i64 << 20;
+    let (tx, rx) = mpsc::channel();
+    let counter = std::thread::spawn(move || {
+        let square = Polyhedron::universe(2)
+            .with_range(0, 0, n - 1)
+            .with_range(1, 0, n - 1);
+        let triangle = square.clone().with(Constraint::geq_zero(
+            LinExpr::var(2, 0).minus(&LinExpr::var(2, 1)),
+        ));
+        let _ = tx.send((square.count_points(), triangle.count_points()));
+    });
+    let counts = match rx.recv_timeout(Duration::from_secs(10)) {
+        Ok(counts) => counts,
+        Err(RecvTimeoutError::Timeout) => {
+            panic!("counting a 2^20 x 2^20 box took over 10 s: no closed form ran")
+        }
+        Err(RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(counter.join().expect_err("sender dropped unsent"))
+        }
+    };
+    counter
+        .join()
+        .expect("counting thread finished after sending");
+    assert_eq!(counts, (1 << 40, (1 << 39) + (1 << 19)));
 }

@@ -3,10 +3,12 @@
 //! A fault plan is part of the simulation's *input*: the same seed and
 //! rates must reproduce the same faults — and therefore bit-identical
 //! reports — however many times it runs. The zero plan must be
-//! indistinguishable from never arming faults at all.
+//! indistinguishable from never arming faults at all, and every report a
+//! fault plan produces must still satisfy the simulator's invariants.
 
 use disk_reuse::prelude::*;
-use dpm_disksim::SimReport;
+use dpm_bench::{run_matrix, ExperimentConfig, MatrixCell, Version};
+use dpm_disksim::{invariants, RaidConfig, SimReport};
 
 fn test_striping() -> Striping {
     Striping::new(8 << 10, 4, 0)
@@ -171,4 +173,44 @@ fn shuffled_trace_simulates_identically_after_sort() {
     let a = run_sim(&sorted, policy, plan);
     let b = run_sim(&resorted, policy, plan);
     assert_reports_identical(&a, &b, "shuffled-then-sorted trace");
+}
+
+/// The Tiny figure-9(a) matrix under escalating chaos plans: every report
+/// passes the invariant checker, called explicitly because release builds
+/// compile out the simulator's automatic debug check.
+#[test]
+fn chaos_matrix_reports_satisfy_invariants() {
+    let cells = || -> Vec<MatrixCell> {
+        suite(Scale::Tiny)
+            .into_iter()
+            .map(|app| MatrixCell {
+                app,
+                versions: Version::single_cpu().to_vec(),
+                procs: 1,
+            })
+            .collect()
+    };
+    for rate in [0.01, 0.05, 0.20] {
+        let config = ExperimentConfig {
+            faults: FaultPlan::chaos(0xD15C_FA17, rate),
+            ..ExperimentConfig::default()
+        };
+        let mut faults = 0;
+        for app in run_matrix(cells(), &config) {
+            for r in &app.results {
+                faults += r.report.total_faults();
+                let violations =
+                    invariants::check_report(&r.report, &config.disk, &RaidConfig::single());
+                let violations: Vec<String> = violations.iter().map(ToString::to_string).collect();
+                assert!(
+                    violations.is_empty(),
+                    "rate {rate}, {} {}: {}",
+                    app.app,
+                    r.version.label(),
+                    violations.join("; ")
+                );
+            }
+        }
+        assert!(faults > 0, "rate {rate}: the plan injected nothing");
+    }
 }

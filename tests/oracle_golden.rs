@@ -8,12 +8,17 @@
 //! the schedule walk, or the report wire format shows up here as a
 //! per-field diff.
 //!
+//! The soundness test checks the same reports against the simulator:
+//! simulated energy inside the proven bounds, walked counts equal to the
+//! closed forms, and inserted power hints accepted by the verifier.
+//!
 //! To regenerate after an intentional change:
 //!
 //! ```text
 //! DPM_UPDATE_GOLDEN=1 cargo test --test oracle_golden
 //! ```
 
+use disk_reuse::optimizer::insert_power_hints;
 use disk_reuse::prelude::*;
 use dpm_bench::ScheduleShape;
 use dpm_disksim::RaidConfig;
@@ -70,6 +75,21 @@ fn predict_on(
     .to_json()
 }
 
+/// A synthetic long-burst program: two 512-element sweeps at 30 ms per
+/// element on two disks, so each disk idles far past break-even while
+/// the other works.
+fn burst() -> (Program, LayoutMap) {
+    let program = parse_program(
+        "program burst;
+         array A[2048] : f64;
+         nest L1 { for i = 0 .. 511 { A[i] = A[i] + 1 @ 30000000; } }
+         nest L2 { for i = 1536 .. 2047 { A[i] = A[i] + 1 @ 30000000; } }",
+    )
+    .expect("burst fixture parses");
+    let layout = LayoutMap::new(&program, Striping::new(4096, 2, 0));
+    (program, layout)
+}
+
 fn build_oracle_tiny() -> Json {
     let striping = paper_striping();
     let options = TraceGenOptions {
@@ -100,14 +120,7 @@ fn build_oracle_tiny() -> Json {
     }
     // The long-burst fixture: the only Tiny-sized input with provable
     // idle windows, so its report pins the window/opportunity fields.
-    let burst = parse_program(
-        "program burst;
-         array A[2048] : f64;
-         nest L1 { for i = 0 .. 511 { A[i] = A[i] + 1 @ 30000000; } }
-         nest L2 { for i = 1536 .. 2047 { A[i] = A[i] + 1 @ 30000000; } }",
-    )
-    .expect("burst fixture parses");
-    let burst_layout = LayoutMap::new(&burst, Striping::new(4096, 2, 0));
+    let (burst, burst_layout) = burst();
     let burst_options = TraceGenOptions::default();
     let params = DiskParams::default();
     let burst_reports = Json::obj(vec![
@@ -234,5 +247,97 @@ fn oracle_tiny_matches_golden() {
             .iter()
             .map(|d| format!("  - {d}\n"))
             .collect::<String>()
+    );
+}
+
+/// The oracle's soundness contract, checked against the simulator: for
+/// every Tiny-suite application and the burst program, under four
+/// scheduler outputs and three power policies, the simulated energy lies
+/// inside the proven `[energy_lower_j, energy_upper_j]`, the walked
+/// iteration counts match dpm-poly's closed forms, and
+/// `insert_power_hints` emits a table `verify_hints` accepts.
+#[test]
+fn oracle_bounds_contain_simulated_energy() {
+    let params = DiskParams::default();
+    let raid = RaidConfig::single();
+    let striping = paper_striping();
+    let suite_options = TraceGenOptions {
+        max_request_bytes: striping.stripe_unit(),
+        ..TraceGenOptions::default()
+    };
+    let mut inputs: Vec<(String, Program, LayoutMap, TraceGenOptions)> = suite(Scale::Tiny)
+        .into_iter()
+        .map(|app| {
+            let program = app.program();
+            let layout = LayoutMap::new(&program, striping);
+            (app.name.to_string(), program, layout, suite_options)
+        })
+        .collect();
+    let (program, layout) = burst();
+    inputs.push(("Burst".into(), program, layout, TraceGenOptions::default()));
+
+    let mut failures = Vec::new();
+    let mut checks = 0;
+    let mut burst_hints = 0;
+    for (name, program, layout, options) in &inputs {
+        let deps = analyze(program);
+        let schedules = [
+            ("orig-1p", original_schedule(program)),
+            ("reuse-1p", restructure_single(program, layout, &deps)),
+            (
+                "base-4p",
+                parallelize_baseline(program, layout, &deps, 4, false),
+            ),
+            (
+                "aware-4p",
+                parallelize_layout_aware(program, layout, &deps, 4, true),
+            ),
+        ];
+        for (variant, schedule) in &schedules {
+            let cell = format!("{name}/{variant}");
+            let (trace, _) = TraceGenerator::new(program, layout, *options).generate(schedule);
+            for policy in [
+                PowerPolicy::None,
+                PowerPolicy::Tpm(TpmConfig::default()),
+                PowerPolicy::Directive(DirectiveConfig::for_params(&params)),
+            ] {
+                let predicted =
+                    predict_energy(program, layout, schedule, options, &params, &policy, &raid);
+                let energy = Simulator::new(params, policy, *layout.striping())
+                    .with_raid(raid)
+                    .run(&trace)
+                    .total_energy_j();
+                checks += 1;
+                if !predicted.contains(energy) {
+                    failures.push(format!(
+                        "{cell}/{policy}: simulated {energy:.3} J outside [{:.3}, {:.3}]",
+                        predicted.energy_lower_j, predicted.energy_upper_j
+                    ));
+                }
+                if !predicted.counts_verified {
+                    failures.push(format!(
+                        "{cell}/{policy}: walked counts disagree with the closed forms"
+                    ));
+                }
+            }
+            match insert_power_hints(program, layout, schedule, options, &params) {
+                Ok(table) if name == "Burst" => burst_hints += table.len(),
+                Ok(_) => {}
+                Err(diags) => {
+                    let diags: Vec<String> = diags.iter().map(ToString::to_string).collect();
+                    failures.push(format!("{cell}: hints rejected: {}", diags.join("; ")));
+                }
+            }
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "{} failure(s) over {checks} cell x policy checks:\n{}",
+        failures.len(),
+        failures.join("\n")
+    );
+    assert!(
+        burst_hints > 0,
+        "the burst program's windows clear break-even, yet no hint was inserted"
     );
 }

@@ -81,10 +81,12 @@ fn stealing_matches_serial_with_pinned_slow_cell() {
 /// The full experiment pipeline under a deliberately skewed matrix: the
 /// paper-scale app in one cell dwarfs the tiny-scale cells around it, so
 /// the matrix fan-out cannot be balanced by an even split. Results must
-/// be identical however wide the pool is.
+/// be identical however wide the pool is, fault-free and under a chaos
+/// plan (a fault plan is part of the input, not of the schedule).
 #[test]
 fn skewed_matrix_deterministic_across_thread_counts() {
     use dpm_bench::{run_matrix, ExperimentConfig, MatrixCell, Version};
+    use dpm_faults::FaultPlan;
     let cells = || -> Vec<MatrixCell> {
         let mut v: Vec<MatrixCell> = ["AST", "FFT", "Cholesky"]
             .iter()
@@ -98,8 +100,7 @@ fn skewed_matrix_deterministic_across_thread_counts() {
         v[0].app = dpm_apps::by_name("AST", dpm_apps::Scale::Small).expect("app");
         v
     };
-    let config = ExperimentConfig::default();
-    let canonical = |results: Vec<dpm_bench::AppResults>| -> Vec<(String, u64, u64)> {
+    let canonical = |results: Vec<dpm_bench::AppResults>| -> Vec<(String, u64, u64, u64)> {
         results
             .into_iter()
             .flat_map(|app| {
@@ -108,18 +109,25 @@ fn skewed_matrix_deterministic_across_thread_counts() {
                         format!("{}/{:?}", app.app, r.version),
                         r.report.makespan_ms.to_bits(),
                         r.report.total_energy_j().to_bits(),
+                        r.report.total_faults(),
                     )
                 })
             })
             .collect()
     };
-    let run = |threads| dpm_exec::with_env_threads(threads, || run_matrix(cells(), &config));
-    let baseline = canonical(run(1));
-    for threads in [2, 8] {
-        assert_eq!(
-            baseline,
-            canonical(run(threads)),
-            "DPM_THREADS={threads}: skewed matrix diverged"
-        );
+    for faults in [FaultPlan::zero(), FaultPlan::chaos(0xD15C_FA17, 0.2)] {
+        let config = ExperimentConfig {
+            faults,
+            ..ExperimentConfig::default()
+        };
+        let run = |threads| dpm_exec::with_env_threads(threads, || run_matrix(cells(), &config));
+        let baseline = canonical(run(1));
+        for threads in [2, 8] {
+            assert_eq!(
+                baseline,
+                canonical(run(threads)),
+                "DPM_THREADS={threads}, {faults:?}: skewed matrix diverged"
+            );
+        }
     }
 }

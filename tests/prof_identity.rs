@@ -10,6 +10,9 @@
 //!
 //! Both recorders are fed by one span guard, so a run with both on must
 //! also name the same regions in the profile and in the event stream.
+//!
+//! The profile must also account for the run: a profiled pass spends at
+//! least 95% of its wall time inside its `experiment_matrix` span.
 
 use dpm_apps::Scale;
 use dpm_bench::{run_matrix, AppResults, ExperimentConfig, MatrixCell, Version};
@@ -17,6 +20,7 @@ use dpm_obs::prof;
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::sync::{Mutex, MutexGuard};
+use std::time::Instant;
 
 /// The recorders are process-global; this file's tests must not
 /// interleave.
@@ -129,4 +133,38 @@ fn profile_frames_and_span_events_name_the_same_regions() {
         .collect();
     assert!(frames.contains("experiment_matrix"), "{frames:?}");
     assert_eq!(frames, ends, "profile frames vs span_end names");
+}
+
+/// Helpers attach the issuing span's context, so their frames nest under
+/// `experiment_matrix` instead of double counting at the root: that one
+/// frame must hold ≥95% of the pass's wall time at every pool width.
+#[test]
+fn profile_covers_95pct_of_wall_time() {
+    let _g = lock();
+    let config = ExperimentConfig::default();
+    for threads in [1usize, 2, 4] {
+        let cells = cells();
+        prof::reset();
+        prof::enable();
+        // The results drop after the clock stops: freeing them is not
+        // part of the pass.
+        let (wall_ns, _results) = dpm_exec::with_env_threads(threads, || {
+            let t = Instant::now();
+            let results = run_matrix(cells, &config);
+            (t.elapsed().as_nanos() as f64, results)
+        });
+        prof::disable();
+        let profile = prof::snapshot();
+        prof::reset();
+        let matrix = profile
+            .find(&["experiment_matrix"])
+            .expect("experiment_matrix frame captured");
+        let coverage = profile.inclusive_ns(matrix) as f64 / wall_ns;
+        assert!(
+            coverage >= 0.95,
+            "{threads} thread(s): experiment_matrix holds {:.1}% of the pass's wall time \
+             (need 95%)",
+            coverage * 100.0
+        );
+    }
 }

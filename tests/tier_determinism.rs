@@ -1,6 +1,6 @@
 //! Determinism guarantees of the tiered simulator.
 //!
-//! Two contracts:
+//! Three contracts:
 //!
 //! * **Flat compatibility** — a single-class `TierConfig` with a
 //!   file-order uniform placement and no migration produces a report
@@ -10,9 +10,12 @@
 //! * **Seed determinism** — the promote/demote sequence is a pure
 //!   function of the seeded migration policy: same seed, same events,
 //!   every time.
+//! * **Placement ordering** — on the sweep's starved heterogeneous array,
+//!   the compiler-guided placement beats the flat array and never loses
+//!   to the heat-blind heuristic, for every application.
 
 use disk_reuse::prelude::*;
-use dpm_bench::TierSweepConfig;
+use dpm_bench::{run_tier_suite, TierScenario, TierSweepConfig};
 use dpm_disksim::MigrationEvent;
 
 /// One app's restructured Tiny trace on the sweep's flat striping: the
@@ -144,4 +147,27 @@ fn same_seed_same_migration_sequence() {
         events_with(alt),
         "alt config not deterministic"
     );
+}
+
+/// The tier claims, per application of the Tiny sweep: static heat
+/// knowledge places data at less energy than the flat performance-class
+/// array, and never at more than the heat-blind round-robin placement.
+#[test]
+fn compiler_placement_beats_flat_and_never_loses_to_heuristic() {
+    for app in run_tier_suite(Scale::Tiny, &TierSweepConfig::default()) {
+        let energy = |s| app.energy(s).expect("the sweep runs every scenario");
+        let flat = energy(TierScenario::Flat);
+        let compiler = energy(TierScenario::CompilerPlaced);
+        let heuristic = energy(TierScenario::HeuristicPlaced);
+        assert!(
+            compiler < flat,
+            "{}: compiler placement {compiler:.3} J is not below flat {flat:.3} J",
+            app.app
+        );
+        assert!(
+            compiler <= heuristic,
+            "{}: compiler placement {compiler:.3} J loses to the heuristic {heuristic:.3} J",
+            app.app
+        );
+    }
 }
