@@ -33,12 +33,6 @@ use dpm_layout::Striping;
 /// How large to build the suite.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Scale {
-    /// Paper geometry (divisor 1) routed through the *streaming* pipeline:
-    /// the experiment bins generate each trace lazily, spill it once
-    /// through the binary codec, and replay it per version, so the full
-    /// matrix (10⁷+ requests) runs in O(disks + request window) resident
-    /// memory instead of materializing whole traces.
-    Full,
     /// Full evaluation scale (~0.5–1 M iterations, a few GB of data per
     /// application) — used by the experiment harness.
     Paper,
@@ -62,7 +56,7 @@ impl Scale {
     /// Panics on `Scale::Custom(0)`.
     pub fn divisor(self) -> u64 {
         match self {
-            Scale::Full | Scale::Paper => 1,
+            Scale::Paper => 1,
             Scale::Large => 2,
             Scale::Small => 8,
             Scale::Tiny => 32,

@@ -11,18 +11,15 @@
 //! 7. relaxed array↔file mappings — §2's unevaluated one-to-many and
 //!    many-to-one options, with the compiler re-deriving the disk map.
 //!
-//! The bin runs fully streamed: layout sweeps (1–2) go through
-//! [`run_matrix_streamed`] with a per-point [`ExperimentConfig`], and the
-//! policy/RAID/fusion/mapping sweeps (3–7) spill each distinct
-//! (program, layout, transform) trace once through the `DPMTRC01` codec
-//! ([`SpilledTrace`]) and replay it per sweep point — one generation
-//! amortized across every policy variant, and no trace ever materialized
-//! in memory.
+//! No trace is held: every (program, layout, transform) point is one
+//! generation pass that feeds the simulators of every policy/RAID point
+//! that shares it ([`simulate_all`]), and the layout sweeps (1–2) run
+//! [`run_app`] with a per-point [`ExperimentConfig`].
 //!
 //! Usage: `ablations [scale] [app]` (default small AST).
 
 use dpm_apps::Scale;
-use dpm_bench::{run_matrix_streamed, ExperimentConfig, MatrixCell, SpilledTrace, Version};
+use dpm_bench::{run_app, simulate_all, ExperimentConfig, Version};
 use dpm_core::{apply_transform, fuse_program, Transform};
 use dpm_disksim::{
     DiskParams, DrpmConfig, PowerPolicy, RaidConfig, SimReport, Simulator, TpmConfig,
@@ -31,9 +28,15 @@ use dpm_ir::Program;
 use dpm_layout::{FileMapping, LayoutMap, Striping};
 use dpm_trace::{TraceGenOptions, TraceGenerator};
 
-/// Spills the trace for one (program, layout, transform) point; replayed
-/// per policy/RAID point below.
-fn spill(program: &Program, layout: &LayoutMap, transform: Transform) -> SpilledTrace {
+/// Simulates one (program, layout, transform) point under every
+/// `(policy, RAID)` point, from one generation pass; reports in `points`
+/// order.
+fn simulate(
+    program: &Program,
+    layout: &LayoutMap,
+    transform: Transform,
+    points: &[(PowerPolicy, RaidConfig)],
+) -> Vec<SimReport> {
     let deps = dpm_ir::analyze(program);
     let schedule = apply_transform(program, layout, &deps, transform);
     let gen = TraceGenerator::new(
@@ -44,16 +47,14 @@ fn spill(program: &Program, layout: &LayoutMap, transform: Transform) -> Spilled
             ..TraceGenOptions::default()
         },
     );
-    SpilledTrace::spill(&gen, &schedule)
-}
-
-fn replay(
-    spill: &SpilledTrace,
-    striping: Striping,
-    policy: PowerPolicy,
-    raid: RaidConfig,
-) -> SimReport {
-    spill.replay(&Simulator::new(DiskParams::default(), policy, striping).with_raid(raid))
+    let sims: Vec<Simulator> = points
+        .iter()
+        .map(|&(policy, raid)| {
+            Simulator::new(DiskParams::default(), policy, *layout.striping()).with_raid(raid)
+        })
+        .collect();
+    let mut stream = gen.stream(&schedule);
+    simulate_all(&mut stream, &sims)
 }
 
 fn saving(base: &SimReport, v: &SimReport) -> String {
@@ -63,11 +64,10 @@ fn saving(base: &SimReport, v: &SimReport) -> String {
     )
 }
 
-/// Runs `Base` and `T-TPM-s` through the streaming matrix pipeline under
-/// a layout-specific config and returns `(base, t_tpm_s)` reports. The
-/// `ClusteredS`-at-1-proc schedule is exactly `Transform::DiskReuse`, so
-/// this matches the direct simulation the bin used before streaming.
-fn layout_point(app: &dpm_apps::BenchApp, striping: Striping) -> (SimReport, SimReport) {
+/// `T-TPM-s`'s saving against `Base`, both run through [`run_app`] under
+/// a layout-specific config. The `ClusteredS`-at-1-proc schedule is
+/// exactly `Transform::DiskReuse`.
+fn layout_saving(app: &dpm_apps::BenchApp, striping: Striping) -> String {
     let config = ExperimentConfig {
         striping,
         trace: TraceGenOptions {
@@ -76,16 +76,8 @@ fn layout_point(app: &dpm_apps::BenchApp, striping: Striping) -> (SimReport, Sim
         },
         ..ExperimentConfig::default()
     };
-    let cells = vec![MatrixCell {
-        app: app.clone(),
-        versions: vec![Version::Base, Version::TTpmS],
-        procs: 1,
-    }];
-    let mut res = run_matrix_streamed(cells, &config);
-    let mut results = res.remove(0).results;
-    let t = results.remove(1).report;
-    let base = results.remove(0).report;
-    (base, t)
+    let res = run_app(app, &[Version::Base, Version::TTpmS], 1, &config);
+    saving(&res.results[0].report, &res.results[1].report)
 }
 
 fn main() {
@@ -106,16 +98,14 @@ fn main() {
     // `DPM_THREADS` threads and prints its rows in the original
     // parameter order.
 
-    // 1. Stripe-unit sweep (per-point layout → per-point streamed matrix).
+    // 1. Stripe-unit sweep (per-point layout → per-point `run_app`).
     println!("1) stripe-unit sweep (T-TPM-s saving vs same-layout Base):");
     let sus = [8u64 << 10, 16 << 10, 32 << 10, 64 << 10, 128 << 10];
-    for (su, row) in dpm_exec::par_map_indexed(&sus, |_, &su| {
-        let (base, t) = layout_point(&app, Striping::new(su, 8, 0));
-        saving(&base, &t)
-    })
-    .into_iter()
-    .enumerate()
-    .map(|(i, row)| (sus[i], row))
+    for (su, row) in
+        dpm_exec::par_map_indexed(&sus, |_, &su| layout_saving(&app, Striping::new(su, 8, 0)))
+            .into_iter()
+            .enumerate()
+            .map(|(i, row)| (sus[i], row))
     {
         println!("   {:>4} KB: {row}", su >> 10);
     }
@@ -126,93 +116,109 @@ fn main() {
     for (disks, row) in factors
         .iter()
         .zip(dpm_exec::par_map_indexed(&factors, |_, &disks| {
-            let (base, t) = layout_point(&app, Striping::new(32 << 10, disks, 0));
-            saving(&base, &t)
+            layout_saving(&app, Striping::new(32 << 10, disks, 0))
         }))
     {
         println!("   {disks:>2} disks: {row}");
     }
 
-    // Sweeps 3–6 share the paper-default layout: generate the Original
-    // and DiskReuse traces exactly once each, then replay them under
-    // every policy/RAID point.
+    // Sweeps 3–6 share the paper-default layout: one Original-code pass
+    // feeds sweep 5's per-RAID Bases (the first, one disk per node, is the
+    // Base of sweeps 3–6), one restructured pass feeds every policy/RAID
+    // point of sweeps 3–6, and the fused program (6) has a pass of its
+    // own. The three passes run concurrently.
     let s = Striping::paper_default();
     let layout = LayoutMap::new(&program, s);
-    let base_spill = spill(&program, &layout, Transform::Original);
-    let reuse_spill = spill(&program, &layout, Transform::DiskReuse);
-    let base = replay(&base_spill, s, PowerPolicy::None, single);
+    let fused = fuse_program(&program);
+    let fused_layout = LayoutMap::new(&fused, s);
+    let timeouts = [1.0, 2.0, 4.0];
+    let rpms = [3_000u32, 6_000, 9_000, 12_000];
+    let member_counts = [1u32, 2, 4];
+    let raids = member_counts.map(|members| {
+        if members == 1 {
+            single
+        } else {
+            RaidConfig::raid0(members, 8 << 10)
+        }
+    });
+    let tpm_points = timeouts.map(|mult| {
+        let cfg = TpmConfig {
+            spin_down_timeout_ms: 15_200.0 * mult,
+            proactive: true,
+        };
+        (PowerPolicy::Tpm(cfg), single)
+    });
+    let drpm_points = rpms.map(|min_rpm| {
+        let cfg = DrpmConfig {
+            min_rpm,
+            proactive: true,
+            ..DrpmConfig::default()
+        };
+        (PowerPolicy::Drpm(cfg), single)
+    });
+    let reuse_points = [
+        &tpm_points[..],
+        &drpm_points,
+        &raids.map(|raid| (tpm, raid)),
+    ]
+    .concat();
+    let passes = [
+        (
+            &program,
+            &layout,
+            Transform::Original,
+            raids.map(|raid| (PowerPolicy::None, raid)).to_vec(),
+        ),
+        (&program, &layout, Transform::DiskReuse, reuse_points),
+        (
+            &fused,
+            &fused_layout,
+            Transform::Original,
+            vec![(tpm, single)],
+        ),
+    ];
+    let [base_sweep, reuse_reports, fused_reports]: [Vec<SimReport>; 3] =
+        dpm_exec::par_map_indexed(&passes, |_, (program, layout, transform, points)| {
+            simulate(program, layout, *transform, points)
+        })
+        .try_into()
+        .expect("one report set per pass");
+    let base = &base_sweep[0];
+    let (tpm_sweep, rest) = reuse_reports.split_at(timeouts.len());
+    let (drpm_sweep, raid_sweep) = rest.split_at(rpms.len());
 
-    // 3. TPM timeout sweep (one spill, one replay per timeout).
+    // 3. TPM timeout sweep.
     println!("3) TPM spin-down timeout sweep (Table 1 break-even = 15.2 s):");
-    let mults = [1.0, 2.0, 4.0];
-    for (mult, row) in mults
-        .iter()
-        .zip(dpm_exec::par_map_indexed(&mults, |_, &mult| {
-            let cfg = TpmConfig {
-                spin_down_timeout_ms: 15_200.0 * mult,
-                proactive: true,
-            };
-            let t = replay(&reuse_spill, s, PowerPolicy::Tpm(cfg), single);
-            format!(
-                "{} (degr {:+.2}%)",
-                saving(&base, &t),
-                100.0 * (t.total_io_time_ms / base.total_io_time_ms - 1.0),
-            )
-        }))
-    {
+    for (mult, t) in timeouts.iter().zip(tpm_sweep) {
         println!(
-            "   {:>4.1}x break-even ({:>5.1} s): {row}",
+            "   {:>4.1}x break-even ({:>5.1} s): {} (degr {:+.2}%)",
             mult,
-            15.2 * mult
+            15.2 * mult,
+            saving(base, t),
+            100.0 * (t.total_io_time_ms / base.total_io_time_ms - 1.0),
         );
     }
 
-    // 4. DRPM minimum-level sweep (same spill, replayed again).
+    // 4. DRPM minimum-level sweep.
     println!("4) DRPM minimum RPM sweep (T-DRPM-s):");
-    let rpms = [3_000u32, 6_000, 9_000, 12_000];
-    for (min_rpm, row) in rpms
-        .iter()
-        .zip(dpm_exec::par_map_indexed(&rpms, |_, &min_rpm| {
-            let cfg = DrpmConfig {
-                min_rpm,
-                proactive: true,
-                ..DrpmConfig::default()
-            };
-            let t = replay(&reuse_spill, s, PowerPolicy::Drpm(cfg), single);
-            saving(&base, &t)
-        }))
-    {
-        println!("   min {min_rpm:>6} rpm: {row}");
+    for (min_rpm, t) in rpms.iter().zip(drpm_sweep) {
+        println!("   min {min_rpm:>6} rpm: {}", saving(base, t));
     }
 
     // 5. RAID-level sub-striping: savings should be similar (§7.1). RAID
-    // only changes the simulator, so both spills replay unchanged.
+    // only changes the simulator, so both passes feed it unchanged.
     println!("5) RAID-0 sub-striping inside each I/O node (normalized savings):");
-    let member_counts = [1u32, 2, 4];
-    for (members, row) in
-        member_counts
-            .iter()
-            .zip(dpm_exec::par_map_indexed(&member_counts, |_, &members| {
-                let raid = if members == 1 {
-                    RaidConfig::single()
-                } else {
-                    RaidConfig::raid0(members, 8 << 10)
-                };
-                let b = replay(&base_spill, s, PowerPolicy::None, raid);
-                let t = replay(&reuse_spill, s, tpm, raid);
-                format!(
-                    "saving {}  (base energy {:.0} J)",
-                    saving(&b, &t),
-                    b.total_energy_j()
-                )
-            }))
-    {
-        println!("   {members} disk(s)/node: {row}");
+    for ((members, b), t) in member_counts.iter().zip(&base_sweep).zip(raid_sweep) {
+        println!(
+            "   {members} disk(s)/node: saving {}  (base energy {:.0} J)",
+            saving(b, t),
+            b.total_energy_j()
+        );
     }
 
     // 7. Relaxed array↔file mappings (§2's unevaluated options). The
     // compiler reads whatever layout is exposed, so clustering adapts.
-    // Layouts differ per mapping, so each point spills its own pair.
+    // Layouts differ per mapping, so each point has its own pair of passes.
     println!("7) relaxed array-file mappings (T-TPM-s saving vs matching Base):");
     let groups: Vec<Vec<usize>> = vec![(0..program.arrays.len()).collect()];
     let mappings = vec![
@@ -228,27 +234,31 @@ fn main() {
     ];
     for (label, row) in dpm_exec::par_map_vec(mappings, |_, (label, mapping)| {
         let layout = LayoutMap::with_mapping(&program, s, &mapping);
-        let b_spill = spill(&program, &layout, Transform::Original);
-        let t_spill = spill(&program, &layout, Transform::DiskReuse);
-        let b = replay(&b_spill, s, PowerPolicy::None, single);
-        let t = replay(&t_spill, s, tpm, single);
-        (label, saving(&b, &t))
+        let b = simulate(
+            &program,
+            &layout,
+            Transform::Original,
+            &[(PowerPolicy::None, single)],
+        );
+        let t = simulate(&program, &layout, Transform::DiskReuse, &[(tpm, single)]);
+        (label, saving(&b[0], &t[0]))
     }) {
         println!("   {label:<24}: {row}");
     }
 
-    // 6. Loop fusion baseline (its own program, so its own spill).
+    // 6. Loop fusion baseline (its own program, so its own pass).
     println!("6) classic loop fusion vs disk-reuse restructuring (TPM):");
-    let fused = fuse_program(&program);
     println!(
         "   fusion merged {} nests into {}",
         program.nests.len(),
         fused.nests.len()
     );
-    let fused_layout = LayoutMap::new(&fused, s);
-    let fused_spill = spill(&fused, &fused_layout, Transform::Original);
-    let f = replay(&fused_spill, s, tpm, single);
-    let t = replay(&reuse_spill, s, tpm, single);
-    println!("   fused original order: {}", saving(&base, &f));
-    println!("   disk-reuse restructured: {}", saving(&base, &t));
+    println!(
+        "   fused original order: {}",
+        saving(base, &fused_reports[0])
+    );
+    println!(
+        "   disk-reuse restructured: {}",
+        saving(base, &raid_sweep[0])
+    );
 }

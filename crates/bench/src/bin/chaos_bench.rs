@@ -8,9 +8,8 @@
 //! `tests/parallel_determinism.rs` pins serial == parallel under a chaos
 //! plan.
 //!
-//! Usage: `chaos_bench [scale]` (scale: tiny | small | large | paper |
-//! full; default tiny; `full` runs the matrix through the streaming
-//! pipeline).
+//! Usage: `chaos_bench [scale]` (scale: tiny | small | large | paper;
+//! default tiny; `full` is accepted as `paper`).
 
 use dpm_apps::Scale;
 use dpm_bench::{run_matrix, ExperimentConfig, MatrixCell, Version};
@@ -26,17 +25,10 @@ const RATES: [f64; 4] = [0.0, 0.01, 0.05, 0.20];
 fn main() {
     dpm_obs::init_from_env();
     let scale = match std::env::args().nth(1).as_deref() {
-        Some("full") => Scale::Full,
-        Some("paper") => Scale::Paper,
+        Some("paper" | "full") => Scale::Paper,
         Some("large") => Scale::Large,
         Some("small") => Scale::Small,
         _ => Scale::Tiny,
-    };
-    // At `full` scale the traces are too large to materialize; stream them.
-    let run = if scale == Scale::Full {
-        dpm_bench::run_matrix_streamed
-    } else {
-        run_matrix
     };
     let cells = || -> Vec<MatrixCell> {
         dpm_apps::suite(scale)
@@ -64,7 +56,7 @@ fn main() {
             ..ExperimentConfig::default()
         };
         let t = Instant::now();
-        let results = run(cells(), &config);
+        let results = run_matrix(cells(), &config);
         let wall_ms = t.elapsed().as_secs_f64() * 1e3;
         let reports: Vec<&SimReport> = results
             .iter()

@@ -1,8 +1,8 @@
 //! Regenerates Figure 10: percentage disk-I/O-time degradation over the
 //! Base version — part (a) single processor, part (b) four processors.
 //!
-//! Usage: `figure10 [scale] [csv-path]` (scale: full | paper | large |
-//! small | tiny; `full` streams the paper geometry in flat memory).
+//! Usage: `figure10 [scale] [csv-path]` (scale: paper | large | small |
+//! tiny; default paper, which `full` also selects).
 //! Always writes the full result set as JSON to `results/figure10.json`;
 //! with `DPM_OBS` set, the JSON additionally carries per-pass timings.
 
@@ -26,17 +26,10 @@ fn main() {
     let obs = dpm_obs::init_from_env();
     let collector = obs.then(dpm_obs::install_collector);
     let scale = match std::env::args().nth(1).as_deref() {
-        Some("full") => Scale::Full,
         Some("large") => Scale::Large,
         Some("small") => Scale::Small,
         Some("tiny") => Scale::Tiny,
         _ => Scale::Paper,
-    };
-    // At `full` scale the traces are too large to materialize; stream them.
-    let run = if scale == Scale::Full {
-        dpm_bench::run_matrix_streamed
-    } else {
-        run_matrix
     };
     let csv_path = std::env::args().nth(2);
     let config = ExperimentConfig::default();
@@ -68,7 +61,7 @@ fn main() {
                 procs,
             })
             .collect();
-        let all: Vec<AppResults> = run(cells, &config);
+        let all: Vec<AppResults> = run_matrix(cells, &config);
         for res in &all {
             print!("{:<12}", res.app);
             for v in &versions {

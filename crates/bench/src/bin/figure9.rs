@@ -1,10 +1,10 @@
 //! Regenerates Figure 9: normalized disk energy consumption per application
 //! and code version — part (a) single processor, part (b) four processors.
 //!
-//! Usage: `figure9 [scale] [csv-path]` (scale: full | paper | large | small
-//! | tiny). `full` runs the paper geometry through the streaming pipeline
-//! (lazy generation → codec spill → per-version replay), so the whole
-//! matrix fits in O(disks + request window) resident memory.
+//! Usage: `figure9 [scale] [csv-path]` (scale: paper | large | small |
+//! tiny; default paper, which `full` also selects). Each trace is
+//! generated in one pass that feeds every version's simulator, so no
+//! trace is held in memory at any scale.
 //! Prints the paper's reported averages next to the measured ones and
 //! optionally writes a CSV with every bar. Always writes the full result
 //! set as JSON to `results/figure9.json`; with `DPM_OBS` set, the JSON
@@ -30,17 +30,10 @@ fn main() {
     let obs = dpm_obs::init_from_env();
     let collector = obs.then(dpm_obs::install_collector);
     let scale = match std::env::args().nth(1).as_deref() {
-        Some("full") => Scale::Full,
         Some("large") => Scale::Large,
         Some("small") => Scale::Small,
         Some("tiny") => Scale::Tiny,
         _ => Scale::Paper,
-    };
-    // At `full` scale the traces are too large to materialize; stream them.
-    let run = if scale == Scale::Full {
-        dpm_bench::run_matrix_streamed
-    } else {
-        run_matrix
     };
     let csv_path = std::env::args().nth(2);
     let config = ExperimentConfig::default();
@@ -70,7 +63,7 @@ fn main() {
                 procs,
             })
             .collect();
-        let all: Vec<AppResults> = run(cells, &config);
+        let all: Vec<AppResults> = run_matrix(cells, &config);
         for res in &all {
             print!("{:<12}", res.app);
             for v in &versions {

@@ -12,16 +12,13 @@
 //! slightly from the simulator's arrival-gap histogram near bucket
 //! edges.
 //!
-//! Traces flow through the streaming pipeline ([`run_app_streamed`]):
-//! each schedule shape spills once through the binary codec and replays
-//! per version, so no trace is ever materialized — and the output is
-//! byte-identical to the old materialized path, because the two
-//! pipelines produce bit-identical reports and events.
+//! Traces flow through [`run_app`]: each schedule shape's generation pass
+//! feeds every version of that shape, so no trace is ever held.
 //!
 //! Usage: `idle_histogram [scale] [app]`.
 
 use dpm_apps::Scale;
-use dpm_bench::{run_app_streamed, ExperimentConfig, Version};
+use dpm_bench::{run_app, ExperimentConfig, Version};
 use dpm_disksim::{timelines_from_events, IdleHistogram, Span, SpanState};
 
 /// Records every maximal non-busy interval of a timeline (leading and
@@ -70,7 +67,7 @@ fn main() {
             } else {
                 vec![Version::Base, Version::TTpmS, Version::TTpmM]
             };
-            let res = run_app_streamed(app, &versions, procs, &config);
+            let res = run_app(app, &versions, procs, &config);
             let events = collector.snapshot();
             println!(
                 "\n{} ({} proc): idle-period histogram per version (ms buckets)",

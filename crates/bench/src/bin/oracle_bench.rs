@@ -6,8 +6,8 @@
 //! parallelization — plus a synthetic long-burst program whose windows
 //! clear break-even, the oracle ([`dpm_analyze::predict_energy`])
 //! derives closed-form energy bounds before a single request is
-//! simulated, and the spilled trace is then replayed under the
-//! no-power-management, reactive-TPM, and directive-driven policies.
+//! simulated, and then one generation pass feeds the
+//! no-power-management, reactive-TPM, and directive-driven simulators.
 //!
 //! Per cell it prints the mean bound tightness (lower/upper), predicted
 //! vs simulated spin-downs, the directive policy's energy relative to
@@ -21,7 +21,7 @@
 
 use disk_reuse::optimizer::insert_power_hints;
 use dpm_apps::Scale;
-use dpm_bench::{mean, SpilledTrace};
+use dpm_bench::{mean, simulate_all};
 use dpm_core::Schedule;
 use dpm_disksim::{DirectiveConfig, DiskParams, PowerPolicy, RaidConfig, Simulator, TpmConfig};
 use dpm_trace::{TraceGenOptions, TraceGenerator};
@@ -73,7 +73,16 @@ fn run_cell(
     let striping = *layout.striping();
     let raid = RaidConfig::single();
     let gen = TraceGenerator::new(program, layout, *options);
-    let spilled = SpilledTrace::spill(&gen, schedule);
+    let policies = [
+        PowerPolicy::None,
+        PowerPolicy::Tpm(TpmConfig::default()),
+        PowerPolicy::Directive(DirectiveConfig::for_params(params)),
+    ];
+    let sims: Vec<Simulator> = policies
+        .iter()
+        .map(|&policy| Simulator::new(*params, policy, striping).with_raid(raid))
+        .collect();
+    let reports = simulate_all(&mut gen.stream(schedule), &sims);
 
     let mut cell = Cell {
         app,
@@ -87,15 +96,9 @@ fn run_cell(
             .ok()
             .map(|table| table.len()),
     };
-    for policy in [
-        PowerPolicy::None,
-        PowerPolicy::Tpm(TpmConfig::default()),
-        PowerPolicy::Directive(DirectiveConfig::for_params(params)),
-    ] {
+    for (policy, report) in policies.into_iter().zip(reports) {
         let predicted =
             dpm_analyze::predict_energy(program, layout, schedule, options, params, &policy, &raid);
-        let sim = Simulator::new(*params, policy, striping).with_raid(raid);
-        let report = spilled.replay(&sim);
         cell.tightness.push(predicted.tightness());
         match policy {
             PowerPolicy::Tpm(_) => cell.tpm_j = report.total_energy_j(),

@@ -2,8 +2,8 @@
 //! of disk requests, base disk energy, and base disk I/O time (no power
 //! management, single processor).
 //!
-//! Usage: `table2 [scale]` (full | paper | large | small | tiny; default
-//! paper; `full` streams the paper geometry in flat memory). Prints
+//! Usage: `table2 [scale]` (paper | large | small | tiny; default paper,
+//! which `full` also selects). Prints
 //! the paper's values alongside for comparison and writes the measured
 //! rows as JSON to `results/table2.json`. With `DPM_OBS` set, the whole
 //! run additionally streams instrumentation events (spans, per-disk state
@@ -27,17 +27,10 @@ fn main() {
     let obs = dpm_obs::init_from_env();
     let collector = obs.then(dpm_obs::install_collector);
     let scale = match std::env::args().nth(1).as_deref() {
-        Some("full") => Scale::Full,
         Some("large") => Scale::Large,
         Some("small") => Scale::Small,
         Some("tiny") => Scale::Tiny,
         _ => Scale::Paper,
-    };
-    // At `full` scale the traces are too large to materialize; stream them.
-    let run = if scale == Scale::Full {
-        dpm_bench::run_matrix_streamed
-    } else {
-        run_matrix
     };
     let config = ExperimentConfig::default();
     let mut report = RunReport::new("table2")
@@ -68,7 +61,7 @@ fn main() {
             procs: 1,
         })
         .collect();
-    let all = run(cells, &config);
+    let all = run_matrix(cells, &config);
     for (app, res) in apps.iter().zip(&all) {
         let program = app.program();
         let gb = program.total_data_bytes() as f64 / (1u64 << 30) as f64;

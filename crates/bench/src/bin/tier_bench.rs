@@ -1,8 +1,8 @@
 //! Tiered-placement report: the whole suite through the four placement
 //! scenarios of [`dpm_bench::tier`] — flat homogeneous baseline,
 //! compiler-guided placement, heat-blind heuristic placement, and online
-//! hot/cold migration — on the same hardware budget and the same spilled
-//! trace.
+//! hot/cold migration — on the same hardware budget, all four fed by one
+//! generation pass per app.
 //!
 //! Prints two tables: each scenario's absolute energy and migration
 //! count per app, then energy normalized to the flat array with the

@@ -12,13 +12,8 @@
 //! Usage: `timeline [scale] [app]` (default small AST).
 
 use dpm_apps::Scale;
-use dpm_bench::{ExperimentConfig, SpilledTrace};
-use dpm_core::{apply_transform, Schedule, Transform};
-use dpm_disksim::{
-    ascii_timelines, timelines_from_events, DrpmConfig, PowerPolicy, Simulator, TpmConfig,
-};
-use dpm_layout::LayoutMap;
-use dpm_trace::TraceGenerator;
+use dpm_bench::{run_app, ExperimentConfig, Version};
+use dpm_disksim::{ascii_timelines, timelines_from_events};
 
 fn main() {
     // This binary *is* a consumer of the event stream, so instrumentation
@@ -34,42 +29,19 @@ fn main() {
     };
     let app_name = std::env::args().nth(2).unwrap_or_else(|| "AST".into());
     let app = dpm_apps::by_name(&app_name, scale).expect("unknown app");
-    let program = app.program();
     let config = ExperimentConfig::default();
-    let layout = LayoutMap::new(&program, config.striping);
-    let deps = dpm_ir::analyze(&program);
-    let gen = TraceGenerator::new(&program, &layout, config.trace);
-
-    let runs = [
-        ("Base (no PM)", Transform::Original, PowerPolicy::None),
-        (
-            "TPM on original code",
-            Transform::Original,
-            PowerPolicy::Tpm(TpmConfig::default()),
-        ),
-        (
-            "T-TPM-s (restructured)",
-            Transform::DiskReuse,
-            PowerPolicy::Tpm(TpmConfig::proactive()),
-        ),
-        (
-            "T-DRPM-s (restructured)",
-            Transform::DiskReuse,
-            PowerPolicy::Drpm(DrpmConfig::proactive()),
-        ),
+    // The two Original-code rows share one generation pass, and so do
+    // the two restructured ones; no trace is held.
+    let rows = [
+        ("Base (no PM)", Version::Base),
+        ("TPM on original code", Version::Tpm),
+        ("T-TPM-s (restructured)", Version::TTpmS),
+        ("T-DRPM-s (restructured)", Version::TDrpmS),
     ];
-    // Spill each transform's trace once through the binary codec and
-    // replay it per policy: the two Original-code rows share one spill,
-    // and no trace is ever materialized in memory.
-    let mut spills: Vec<(Transform, SpilledTrace)> = Vec::new();
-    for (label, transform, policy) in runs {
-        if !spills.iter().any(|(t, _)| *t == transform) {
-            let schedule: Schedule = apply_transform(&program, &layout, &deps, transform);
-            spills.push((transform, SpilledTrace::spill(&gen, &schedule)));
-        }
-        let (_, spill) = spills.iter().find(|(t, _)| *t == transform).unwrap();
-        let sim = Simulator::new(config.disk, policy, config.striping);
-        let report = spill.replay(&sim);
+    let versions = rows.map(|(_, v)| v);
+    let res = run_app(&app, &versions, 1, &config);
+    for ((label, _), r) in rows.iter().zip(&res.results) {
+        let report = &r.report;
         println!(
             "\n{label} — {:.0} J over {:.0} s (rebuilt from run {} of the event stream)",
             report.total_energy_j(),

@@ -30,7 +30,9 @@ pub use tier::{
 
 use dpm_apps::BenchApp;
 use dpm_core::{apply_transform, Assignment, Schedule, Transform};
-use dpm_disksim::{DiskParams, DrpmConfig, PowerPolicy, SimReport, Simulator, TpmConfig, Trace};
+use dpm_disksim::{
+    DiskParams, DrpmConfig, PowerPolicy, RequestStream, SimReport, SimRun, Simulator, TpmConfig,
+};
 use dpm_faults::FaultPlan;
 use dpm_ir::Program;
 use dpm_layout::{LayoutMap, Striping};
@@ -269,15 +271,10 @@ pub fn run_matrix(cells: Vec<MatrixCell>, config: &ExperimentConfig) -> Vec<AppR
     dpm_exec::par_map_vec(cells, |_, c| run_app(&c.app, &c.versions, c.procs, config))
 }
 
-/// The streaming counterpart of [`run_matrix`]: every cell runs through
-/// [`run_app_streamed`], so no trace is ever materialized in memory.
-/// Results are bit-identical to [`run_matrix`] on the same cells.
+/// [`run_matrix`], under the name the end-to-end benchmark's reference
+/// path calls; no trace is materialized on either.
 pub fn run_matrix_streamed(cells: Vec<MatrixCell>, config: &ExperimentConfig) -> Vec<AppResults> {
-    let mut sp = dpm_obs::span!("experiment_matrix_streamed");
-    sp.add("cells", cells.len() as u64);
-    dpm_exec::par_map_vec(cells, |_, c| {
-        run_app_streamed(&c.app, &c.versions, c.procs, config)
-    })
+    run_matrix(cells, config)
 }
 
 /// Builds the schedule for a shape at a processor count.
@@ -311,8 +308,60 @@ pub fn build_schedule(
     apply_transform(program, layout, deps, transform)
 }
 
-/// Runs the requested versions of one application, reusing traces across
-/// versions that share a schedule shape.
+/// Requests [`simulate_all`] pulls from its source per block. A block
+/// lets the generator's code and the simulator's each stay hot for a
+/// while and makes the per-block spans negligible, while staying a few
+/// tens of kilobytes (1024 × 40 B), independent of trace length.
+const DRIVE_BLOCK: usize = 1024;
+
+/// Feeds one pass over `stream` to every simulator in `sims` and returns
+/// their reports in the same order: the one driver between trace
+/// generation and simulation. Each request is pulled once and fed to
+/// every run ([`Simulator::start`]), so no trace is held and nothing is
+/// spilled; every report is bit-identical to `sims[i].run_stream` over
+/// the same requests.
+///
+/// Requests are pulled in fixed-size blocks (`DRIVE_BLOCK`) under a
+/// `trace_generate` span, and each block is fed under a `simulate` span
+/// (counter `requests`), so a profile shows generation and simulation
+/// as sibling frames.
+///
+/// # Panics
+///
+/// Panics if the stream's arrivals are not non-decreasing.
+pub fn simulate_all(stream: &mut dyn RequestStream, sims: &[Simulator]) -> Vec<SimReport> {
+    let mut runs: Vec<SimRun<'_>> = {
+        let _sp = dpm_obs::span!("simulate");
+        sims.iter().map(Simulator::start).collect()
+    };
+    let mut block = Vec::with_capacity(DRIVE_BLOCK);
+    loop {
+        {
+            let _sp = dpm_obs::span!("trace_generate");
+            block.clear();
+            while block.len() < DRIVE_BLOCK {
+                match stream.next_request() {
+                    Some(r) => block.push(r),
+                    None => break,
+                }
+            }
+        }
+        let mut sp = dpm_obs::span!("simulate");
+        sp.add("requests", block.len() as u64);
+        for run in &mut runs {
+            run.feed(&block);
+        }
+        if block.len() < DRIVE_BLOCK {
+            return runs.into_iter().map(SimRun::finish).collect();
+        }
+    }
+}
+
+/// Runs the requested versions of one application. Each distinct schedule
+/// shape, in first-use order, gets its schedule built and one generation
+/// pass ([`TraceGenerator::stream`]) that [`simulate_all`] feeds to every
+/// version of that shape; results come back in the requested order. The
+/// schedule lives only for its pass, and no trace is ever held.
 pub fn run_app(
     app: &BenchApp,
     versions: &[Version],
@@ -325,266 +374,67 @@ pub fn run_app(
     let deps = dpm_ir::analyze(&program);
     let gen = TraceGenerator::new(&program, &layout, config.trace).with_disk_params(config.disk);
 
-    let mut traces: Vec<(ScheduleShape, Trace, TraceStats)> = Vec::new();
-    let mut results = Vec::new();
-    for &v in versions {
-        let shape = v.shape();
-        if !traces.iter().any(|(s, _, _)| *s == shape) {
-            let schedule = build_schedule(&program, &layout, &deps, shape, procs);
-            debug_assert!(schedule.validate_coverage(&program).is_ok());
-            // Debug builds prove every schedule legal before simulating
-            // it: an illegal schedule would produce a plausible-looking
-            // (but meaningless) energy number.
-            #[cfg(debug_assertions)]
-            {
-                let diags = dpm_analyze::verify_schedule(&program, &deps, &schedule);
-                debug_assert_eq!(
-                    dpm_analyze::error_count(&diags),
-                    0,
-                    "illegal {shape:?} schedule for {}: {diags:?}",
-                    app.name
-                );
-            }
-            let (trace, stats) = gen.generate(&schedule);
-            traces.push((shape, trace, stats));
+    let mut results: Vec<Option<VersionResult>> = vec![None; versions.len()];
+    for first in 0..versions.len() {
+        if results[first].is_some() {
+            continue;
         }
-        let (_, trace, stats) = traces
+        let shape = versions[first].shape();
+        let schedule = build_schedule(&program, &layout, &deps, shape, procs);
+        debug_assert!(schedule.validate_coverage(&program).is_ok());
+        // Debug builds prove every schedule legal before simulating it:
+        // an illegal schedule would produce a plausible-looking (but
+        // meaningless) energy number.
+        #[cfg(debug_assertions)]
+        {
+            let diags = dpm_analyze::verify_schedule(&program, &deps, &schedule);
+            debug_assert_eq!(
+                dpm_analyze::error_count(&diags),
+                0,
+                "illegal {shape:?} schedule for {}: {diags:?}",
+                app.name
+            );
+        }
+        let members: Vec<usize> = (first..versions.len())
+            .filter(|&i| versions[i].shape() == shape)
+            .collect();
+        let sims: Vec<Simulator> = members
             .iter()
-            .find(|(s, _, _)| *s == shape)
-            .expect("every version shape was generated above");
-        let sim =
-            Simulator::new(config.disk, v.policy(), config.striping).with_faults(config.faults);
-        let report = sim.run(trace);
-        results.push(VersionResult {
-            version: v,
-            report,
-            trace_stats: *stats,
-        });
+            .map(|&i| {
+                Simulator::new(config.disk, versions[i].policy(), config.striping)
+                    .with_faults(config.faults)
+            })
+            .collect();
+        let mut stream = gen.stream(&schedule);
+        let reports = simulate_all(&mut stream, &sims);
+        let trace_stats = stream.stats();
+        for (i, report) in members.into_iter().zip(reports) {
+            results[i] = Some(VersionResult {
+                version: versions[i],
+                report,
+                trace_stats,
+            });
+        }
     }
     AppResults {
         app: app.name,
         procs,
-        results,
+        results: results
+            .into_iter()
+            .map(|r| r.expect("every version's shape was simulated"))
+            .collect(),
     }
 }
 
-/// A generated trace spilled once through the compact `DPMTRC01` binary
-/// codec to a file in the OS temp directory, then replayed any number of
-/// times without regenerating it — the spill-once/replay-many backbone of
-/// every streamed bin ([`run_app_streamed`] replays one spill per code
-/// version; `ablations` replays one per policy/RAID point). The file is
-/// removed on drop, so a panicking cell cannot leak spill files.
-pub struct SpilledTrace {
-    path: std::path::PathBuf,
-    stats: TraceStats,
-}
-
-impl Drop for SpilledTrace {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.path);
-    }
-}
-
-impl SpilledTrace {
-    /// Generates `schedule`'s trace lazily ([`TraceGenerator::stream`])
-    /// and spills it through the binary codec, so no full trace is ever
-    /// materialized in memory. The schedule can be dropped afterwards.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the OS temp directory refuses the spill file.
-    pub fn spill(gen: &TraceGenerator<'_>, schedule: &Schedule) -> SpilledTrace {
-        let _sp = dpm_obs::span!("trace_spill");
-        let path = spill_path();
-        let file = std::fs::File::create(&path)
-            .unwrap_or_else(|e| panic!("create spill file {}: {e}", path.display()));
-        let mut writer = dpm_trace::TraceWriter::new(file);
-        let mut stream = gen.stream(schedule);
-        writer.write_stream(&mut stream).expect("spill trace");
-        writer.finish().expect("finish trace spill");
-        let stats = stream.stats();
-        SpilledTrace { path, stats }
-    }
-
-    /// Generation statistics captured while spilling.
-    pub fn stats(&self) -> TraceStats {
-        self.stats
-    }
-
-    /// Replays the spilled trace through `sim` via
-    /// [`Simulator::run_stream`]; bit-identical to simulating the
-    /// materialized trace (the codec round-trips every request).
-    pub fn replay(&self, sim: &Simulator) -> dpm_disksim::SimReport {
-        let file = std::fs::File::open(&self.path)
-            .unwrap_or_else(|e| panic!("open spill file {}: {e}", self.path.display()));
-        let mut reader = dpm_trace::TraceReader::new(file).expect("read trace spill header");
-        sim.run_stream(&mut reader)
-    }
-
-    /// The streaming counterpart of [`Trace::merged`]: merges several
-    /// spilled traces into one shared-system spill without materializing
-    /// any of them. Part `k`'s arrivals are shifted by `k * stagger_ms`,
-    /// its offsets relocated past the previous parts' address ranges, and
-    /// its processor ids renumbered into a disjoint range — the same
-    /// relocation rules as the materialized merge, and the k-way merge
-    /// (ties broken by part index) reproduces `from_requests`' stable
-    /// sort, so replaying the result is bit-identical to simulating
-    /// `Trace::merged` of the materialized parts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a spill file cannot be reopened or the merged spill
-    /// cannot be written.
-    pub fn merge(parts: &[&SpilledTrace], stagger_ms: f64) -> SpilledTrace {
-        use dpm_disksim::RequestStream;
-        let _sp = dpm_obs::span!("trace_spill_merge");
-        // Pass 1: each part's address-range and processor-id extents, which
-        // set the *next* part's relocation bases (exactly `Trace::merged`).
-        let mut shifts = Vec::with_capacity(parts.len());
-        let mut base_offset = 0u64;
-        let mut base_proc = 0u32;
-        let mut stats = TraceStats::default();
-        for (k, part) in parts.iter().enumerate() {
-            let mut reader = part.reader();
-            let mut max_end = 0u64;
-            let mut max_proc = 0u32;
-            while let Some(r) = reader.next_request() {
-                max_end = max_end.max(r.offset + r.len);
-                max_proc = max_proc.max(r.proc_id);
-            }
-            shifts.push((base_offset, base_proc, stagger_ms * k as f64));
-            base_offset += max_end;
-            base_proc += max_proc + 1;
-            let s = part.stats();
-            stats.element_accesses += s.element_accesses;
-            stats.cache_hits += s.cache_hits;
-            stats.requests += s.requests;
-            stats.bytes += s.bytes;
-            stats.compute_ms += s.compute_ms;
-            stats.io_block_ms += s.io_block_ms;
-        }
-        // Pass 2: k-way merge of the shifted streams. Each part is sorted
-        // by arrival, so taking the minimum head (lowest part index on
-        // ties) emits the stable-sorted concatenation.
-        let path = spill_path();
-        let file = std::fs::File::create(&path)
-            .unwrap_or_else(|e| panic!("create spill file {}: {e}", path.display()));
-        let mut writer = dpm_trace::TraceWriter::new(file);
-        let mut readers: Vec<_> = parts.iter().map(|p| p.reader()).collect();
-        let mut heads: Vec<Option<dpm_disksim::IoRequest>> = readers
-            .iter_mut()
-            .zip(&shifts)
-            .map(|(r, &(off, proc, t))| r.next_request().map(|q| shift_request(q, off, proc, t)))
-            .collect();
-        loop {
-            let next = heads
-                .iter()
-                .enumerate()
-                .filter_map(|(k, h)| h.as_ref().map(|r| (k, r.arrival_ms)))
-                .min_by(|(ka, ta), (kb, tb)| ta.total_cmp(tb).then(ka.cmp(kb)));
-            let Some((k, _)) = next else { break };
-            let r = heads[k].take().expect("head present");
-            writer.write(&r).expect("write merged spill");
-            let (off, proc, t) = shifts[k];
-            heads[k] = readers[k]
-                .next_request()
-                .map(|q| shift_request(q, off, proc, t));
-        }
-        writer.finish().expect("finish merged spill");
-        SpilledTrace { path, stats }
-    }
-
-    /// Reopens the spill for another streaming pass.
-    fn reader(&self) -> dpm_trace::TraceReader<std::fs::File> {
-        let file = std::fs::File::open(&self.path)
-            .unwrap_or_else(|e| panic!("open spill file {}: {e}", self.path.display()));
-        dpm_trace::TraceReader::new(file).expect("read trace spill header")
-    }
-}
-
-/// Applies one merge part's relocation: time stagger, address-range
-/// relocation, processor renumbering.
-fn shift_request(
-    mut r: dpm_disksim::IoRequest,
-    offset: u64,
-    proc: u32,
-    stagger_ms: f64,
-) -> dpm_disksim::IoRequest {
-    r.arrival_ms += stagger_ms;
-    r.offset += offset;
-    r.proc_id += proc;
-    r
-}
-
-/// A process-unique spill-file path: temp dir + pid + counter.
-fn spill_path() -> std::path::PathBuf {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static SPILL_ID: AtomicU64 = AtomicU64::new(0);
-    let id = SPILL_ID.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!("dpm-spill-{}-{id}.trc", std::process::id()))
-}
-
-/// Runs the requested versions of one application through the streaming
-/// pipeline: each schedule shape's trace is *generated lazily*
-/// ([`TraceGenerator::stream`]), spilled once through the binary codec to a
-/// temp file, and replayed per version with [`Simulator::run_stream`], so
-/// simulation memory is O(disks + request window) regardless of trace
-/// length. The schedule itself is transient — it lives only while its
-/// stream spills, never across a simulation.
-///
-/// Reports and trace statistics are bit-identical to [`run_app`] on the
-/// same inputs: the same [`build_schedule`] order drives both pipelines,
-/// the streamed generator reproduces the batch generator's stable sort
-/// exactly, and the codec round-trips every request bit-for-bit (see
-/// `tests/stream_equivalence.rs`).
+/// [`run_app`], under the name the end-to-end benchmark's reference path
+/// calls.
 pub fn run_app_streamed(
     app: &BenchApp,
     versions: &[Version],
     procs: u32,
     config: &ExperimentConfig,
 ) -> AppResults {
-    let _sp = dpm_obs::span!("run_app_streamed");
-    let program = app.program();
-    let layout = LayoutMap::new(&program, config.striping);
-    let deps = dpm_ir::analyze(&program);
-    let gen = TraceGenerator::new(&program, &layout, config.trace).with_disk_params(config.disk);
-
-    let mut spills: Vec<(ScheduleShape, SpilledTrace)> = Vec::new();
-    let mut results = Vec::new();
-    for &v in versions {
-        let shape = v.shape();
-        if !spills.iter().any(|(s, _)| *s == shape) {
-            let schedule = build_schedule(&program, &layout, &deps, shape, procs);
-            debug_assert!(schedule.validate_coverage(&program).is_ok());
-            #[cfg(debug_assertions)]
-            {
-                let diags = dpm_analyze::verify_schedule(&program, &deps, &schedule);
-                debug_assert_eq!(
-                    dpm_analyze::error_count(&diags),
-                    0,
-                    "illegal {shape:?} schedule for {}: {diags:?}",
-                    app.name
-                );
-            }
-            spills.push((shape, SpilledTrace::spill(&gen, &schedule)));
-        }
-        let (_, spill) = spills
-            .iter()
-            .find(|(s, _)| *s == shape)
-            .expect("every version shape was spilled above");
-        let sim =
-            Simulator::new(config.disk, v.policy(), config.striping).with_faults(config.faults);
-        results.push(VersionResult {
-            version: v,
-            report: spill.replay(&sim),
-            trace_stats: spill.stats(),
-        });
-    }
-    AppResults {
-        app: app.name,
-        procs,
-        results,
-    }
+    run_app(app, versions, procs, config)
 }
 
 /// Formats a fraction as a signed percentage.

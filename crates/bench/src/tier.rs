@@ -1,5 +1,5 @@
-//! The tiered-storage experiment harness: one application's trace replayed
-//! against four placement scenarios on the same heterogeneous hardware
+//! The tiered-storage experiment harness: one application's trace
+//! simulated under four placement scenarios on the same heterogeneous hardware
 //! budget, so the scenario axis — *who decided where the data lives* — is
 //! the only variable.
 //!
@@ -14,11 +14,10 @@
 //!   simulator's windowed hot/cold migration, which must *earn back* its
 //!   migration traffic.
 //!
-//! Every scenario replays the same spilled trace (the spill-once /
-//! replay-many streaming backbone), so trace generation cost is paid once
-//! and the comparison is exact.
+//! One generation pass feeds every scenario's simulator
+//! ([`simulate_all`](crate::simulate_all)), so trace generation cost is
+//! paid once and the comparison is exact.
 
-use crate::SpilledTrace;
 use dpm_apps::BenchApp;
 use dpm_disksim::{DiskClass, MigrationConfig, PowerPolicy, SimReport, Simulator, TpmConfig};
 use dpm_ir::Program;
@@ -180,11 +179,10 @@ fn placements(
     (compiler, heuristic)
 }
 
-/// Runs the requested scenarios for one application: generates the
-/// disk-reuse restructured trace once (streamed and spilled through the
-/// binary codec), then replays it under each scenario's simulator. All
-/// scenarios run the default TPM policy, so power management is held
-/// constant while placement varies.
+/// Runs the requested scenarios for one application: one generation pass
+/// over the disk-reuse restructured schedule feeds every scenario's
+/// simulator. All scenarios run the default TPM policy, so power
+/// management is held constant while placement varies.
 pub fn run_tier_app(
     app: &BenchApp,
     scenarios: &[TierScenario],
@@ -208,39 +206,42 @@ pub fn run_tier_app(
         crate::ScheduleShape::ClusteredS,
         1,
     );
-    let spill = SpilledTrace::spill(&gen, &schedule);
-
     let tiers = config.tiers_for(layout.volume_bytes());
     let (compiler, heuristic) = placements(&program, &layout, &tiers);
     let policy = PowerPolicy::Tpm(TpmConfig::default());
 
-    let mut results = Vec::with_capacity(scenarios.len());
-    for &scenario in scenarios {
-        let sim = Simulator::new(perf.params, policy, striping);
-        let sim = match scenario {
-            TierScenario::Flat => sim,
-            TierScenario::CompilerPlaced => {
-                let vol = TieredVolume::new(&layout, tiers.topology(), &compiler);
-                sim.with_tiers(tiers.clone(), vol)
+    let sims: Vec<Simulator> = scenarios
+        .iter()
+        .map(|&scenario| {
+            let sim = Simulator::new(perf.params, policy, striping);
+            match scenario {
+                TierScenario::Flat => sim,
+                TierScenario::CompilerPlaced => {
+                    let vol = TieredVolume::new(&layout, tiers.topology(), &compiler);
+                    sim.with_tiers(tiers.clone(), vol)
+                }
+                TierScenario::HeuristicPlaced => {
+                    let vol = TieredVolume::new(&layout, tiers.topology(), &heuristic);
+                    sim.with_tiers(tiers.clone(), vol)
+                }
+                TierScenario::OnlineMigrated => {
+                    let vol = TieredVolume::new(&layout, tiers.topology(), &heuristic);
+                    sim.with_tiers(tiers.clone(), vol)
+                        .with_migration(config.migration)
+                }
             }
-            TierScenario::HeuristicPlaced => {
-                let vol = TieredVolume::new(&layout, tiers.topology(), &heuristic);
-                sim.with_tiers(tiers.clone(), vol)
-            }
-            TierScenario::OnlineMigrated => {
-                let vol = TieredVolume::new(&layout, tiers.topology(), &heuristic);
-                sim.with_tiers(tiers.clone(), vol)
-                    .with_migration(config.migration)
-            }
-        };
-        let report = spill.replay(&sim);
-        let energy_j = report.total_energy_j();
-        results.push(TierScenarioResult {
+        })
+        .collect();
+    let reports = crate::simulate_all(&mut gen.stream(&schedule), &sims);
+    let results = scenarios
+        .iter()
+        .zip(reports)
+        .map(|(&scenario, report)| TierScenarioResult {
             scenario,
+            energy_j: report.total_energy_j(),
             report,
-            energy_j,
-        });
-    }
+        })
+        .collect();
     TierAppResults {
         app: app.name,
         results,

@@ -1,16 +1,16 @@
-//! Flat memory and codec density of the streamed path.
+//! Flat memory of the harness and codec density.
 //!
-//! Runs the harness's streamed path for the AST Plain 1-processor cell —
-//! the schedule [`dpm_bench::build_schedule`] builds (what
-//! `run_app_streamed` and the end-to-end benchmark stream) → lazy
-//! generation ([`dpm_trace::GenStream`]) → binary codec spill
-//! ([`TraceWriter`]) → replay ([`TraceReader`]) → event-driven simulation
-//! ([`Simulator::run_stream`]) — at `Tiny` and `Small` scale, measuring
-//! the peak live heap with a counting global allocator.
+//! Two probes, each at `Tiny` and `Small` scale, measure the peak live heap
+//! with a counting global allocator:
 //!
-//! `Small` carries ~16× the requests (and iterations) of `Tiny`, so if
-//! the path's peak heap is a function of (schedule runs + disks + request
-//! window) rather than trace length, the two peaks must be close: any
+//! * the end-to-end benchmark's spill path for the AST Plain 1-processor
+//!   cell: [`dpm_bench::build_schedule`] → [`dpm_trace::GenStream`] →
+//!   [`TraceWriter`] → [`TraceReader`] → [`Simulator::run_stream`];
+//! * [`dpm_bench::run_app`] for the same cell under Base, TPM and DRPM.
+//!
+//! `Small` carries ~16× the requests (and iterations) of `Tiny`, so if a
+//! path's peak heap is a function of (schedule runs + disks + request
+//! window) rather than trace length, its two peaks must be close: any
 //! O(requests) or O(iterations) buffer on the path, a materialized
 //! schedule or trace included, scales 16× between the probes and
 //! overshoots [`FLAT_FACTOR`] by an order of magnitude.
@@ -19,7 +19,7 @@
 //! test: no other test's allocations can land inside a probe.
 
 use dpm_apps::Scale;
-use dpm_bench::{ExperimentConfig, ScheduleShape};
+use dpm_bench::{ExperimentConfig, ScheduleShape, Version};
 use dpm_disksim::{PowerPolicy, Simulator};
 use dpm_layout::LayoutMap;
 use dpm_trace::{TraceGenerator, TraceReader, TraceWriter};
@@ -145,5 +145,25 @@ fn streamed_path_memory_is_flat_and_codec_is_compact() {
         "codec density {density:.1} B/request over {} requests (limit \
          {MAX_CODEC_BYTES_PER_REQUEST})",
         small.requests
+    );
+
+    // `run_app` for the same cell under Base, TPM and DRPM: its one
+    // generation pass feeds all three simulators, so it holds no trace.
+    let run_app = |scale| {
+        let app = dpm_apps::by_name("AST", scale).expect("AST is in the suite");
+        let versions = [Version::Base, Version::Tpm, Version::Drpm];
+        PEAK.store(CURRENT.load(Ordering::Relaxed), Ordering::Relaxed);
+        let res = dpm_bench::run_app(&app, &versions, 1, &ExperimentConfig::default());
+        (res.base().report.app_requests, PEAK.load(Ordering::Relaxed))
+    };
+    let (tiny_requests, tiny_peak) = run_app(Scale::Tiny);
+    let (small_requests, small_peak) = run_app(Scale::Small);
+    let growth = small_requests as f64 / tiny_requests as f64;
+    let ratio = small_peak as f64 / tiny_peak as f64;
+    assert!(
+        ratio <= FLAT_FACTOR,
+        "run_app's peak heap grew x{ratio:.3} ({tiny_peak} -> {small_peak} B) while \
+         requests grew x{growth:.1}: one generation pass must feed every simulator \
+         without holding the trace (limit x{FLAT_FACTOR})"
     );
 }

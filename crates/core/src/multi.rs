@@ -65,6 +65,7 @@ pub fn parallelize_baseline(
             &mut schedule,
         );
     }
+    schedule.shrink_to_fit();
     schedule
 }
 
@@ -118,6 +119,7 @@ pub fn parallelize_layout_aware(
             &mut schedule,
         );
     }
+    schedule.shrink_to_fit();
     schedule
 }
 

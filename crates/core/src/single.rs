@@ -265,6 +265,7 @@ fn into_schedule(tables: Vec<NestTable>, out: Lane) -> Schedule {
     let domains = tables.into_iter().map(|t| t.index).collect();
     let mut schedule = Schedule::from_domains(domains, 1, 1);
     *schedule.lane_mut(0, 0) = out;
+    schedule.shrink_to_fit();
     schedule
 }
 

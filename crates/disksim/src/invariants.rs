@@ -26,9 +26,10 @@
 //!    per-disk sub-request and byte totals match what the striping says
 //!    the trace splits into.
 //!
-//! [`Simulator::run`](crate::Simulator::run) checks all of this
-//! automatically in debug builds (hence in every `cargo test`); release
-//! users and the chaos benchmark call [`check_report`] /
+//! Every simulation checks all of this automatically in debug builds
+//! (hence in every `cargo test`) when [`SimRun::finish`](crate::SimRun::finish)
+//! builds its report; release users call [`check_report`] (or
+//! [`check_report_tiered`]) with [`check_accounting`] or
 //! [`check_trace_accounting`] explicitly.
 
 use crate::params::{DiskParams, RaidConfig, TierConfig};
@@ -429,7 +430,7 @@ pub fn check_trace_accounting(
 /// Streaming form of [`check_trace_accounting`]: compares the report
 /// against per-disk totals accumulated while the request stream was
 /// consumed, so conservation is checkable without a materialized trace to
-/// re-walk. Every streamed run in debug builds goes through this.
+/// re-walk. Every run in debug builds goes through this.
 pub fn check_accounting(report: &SimReport, acc: &TraceAccounting) -> Vec<Violation> {
     let mut v = Vec::new();
     if report.app_requests != acc.app_requests {
@@ -477,77 +478,6 @@ pub fn check_accounting(report: &SimReport, acc: &TraceAccounting) -> Vec<Violat
         }
     }
     v
-}
-
-/// Runs both checkers against a materialized trace and panics with the
-/// full violation list if any invariant fails.
-///
-/// # Panics
-///
-/// Panics when any invariant is violated.
-pub fn assert_clean(
-    report: &SimReport,
-    params: &DiskParams,
-    raid: &RaidConfig,
-    trace: &Trace,
-    striping: &Striping,
-) {
-    let mut v = check_report(report, params, raid);
-    v.extend(check_trace_accounting(report, trace, striping));
-    assert!(
-        v.is_empty(),
-        "simulator invariants violated:\n{}",
-        v.iter().map(|x| format!("  - {x}\n")).collect::<String>()
-    );
-}
-
-/// Streaming form of [`assert_clean`]: same report checks, request
-/// conservation judged against the accounting the event loop accumulated.
-/// This is what debug builds run after every
-/// [`Simulator::run_stream`](crate::Simulator::run_stream) — and hence
-/// after every [`Simulator::run`](crate::Simulator::run), whose `&Trace`
-/// path is an adapter over the same loop.
-///
-/// # Panics
-///
-/// Panics when any invariant is violated.
-pub fn assert_clean_streamed(
-    report: &SimReport,
-    params: &DiskParams,
-    raid: &RaidConfig,
-    acc: &TraceAccounting,
-) {
-    let mut v = check_report(report, params, raid);
-    v.extend(check_accounting(report, acc));
-    assert!(
-        v.is_empty(),
-        "simulator invariants violated:\n{}",
-        v.iter().map(|x| format!("  - {x}\n")).collect::<String>()
-    );
-}
-
-/// Tier-aware form of [`assert_clean_streamed`]: what debug builds run
-/// after every heterogeneous [`Simulator::run_stream`](crate::Simulator)
-/// — per-disk invariants under each disk's own class parameters, per-tier
-/// energy conservation, tier-report consistency, migration byte balance,
-/// and request conservation.
-///
-/// # Panics
-///
-/// Panics when any invariant is violated.
-pub fn assert_clean_streamed_tiered(
-    report: &SimReport,
-    config: &TierConfig,
-    raid: &RaidConfig,
-    acc: &TraceAccounting,
-) {
-    let mut v = check_report_tiered(report, config, raid);
-    v.extend(check_accounting(report, acc));
-    assert!(
-        v.is_empty(),
-        "simulator invariants violated:\n{}",
-        v.iter().map(|x| format!("  - {x}\n")).collect::<String>()
-    );
 }
 
 #[cfg(test)]

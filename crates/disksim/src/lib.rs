@@ -65,9 +65,9 @@ pub use params::{
     ServiceTime, Tier, TierConfig, TpmConfig,
 };
 pub use request::{IoRequest, RequestKind, Trace, TraceParseError, TRACE_BLOCK_BYTES};
-pub use sim::Simulator;
+pub use sim::{SimRun, Simulator};
 pub use stats::{
     ascii_timelines, coalesce_spans, timelines_from_events, DiskStats, IdleHistogram,
     MigrationEvent, SimReport, Span, SpanState, TierReport, TierStats,
 };
-pub use stream::{RequestStream, TraceAccounting, TraceStream};
+pub use stream::{Extents, MergedStream, RequestStream, TraceAccounting, TraceStream};

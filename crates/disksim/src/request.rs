@@ -1,6 +1,7 @@
 //! I/O request traces in the paper's five-field format (§7.1): arrival time
 //! (ms), start block, size (bytes), read/write, processor id.
 
+use crate::stream::{Extents, MergedStream, RequestStream, TraceStream};
 use std::error::Error;
 use std::fmt;
 
@@ -145,31 +146,21 @@ impl Trace {
         self.requests.last().map_or(0.0, |r| r.arrival_ms)
     }
 
-    /// Merges several traces into one shared-system trace: trace `k`'s
-    /// requests keep their arrival times shifted by `k * stagger_ms`, its
-    /// offsets are relocated past the previous traces' address ranges (so
-    /// independent applications' files do not alias), and its processor
-    /// ids are renumbered into a disjoint range.
+    /// Merges several traces into one shared-system trace: the
+    /// materialized form of [`MergedStream`], whose relocation rule it
+    /// applies (trace `k` shifted by `k * stagger_ms`, its offsets placed
+    /// past the previous traces' address ranges, its processor ids
+    /// renumbered into a disjoint range).
     pub fn merged(traces: &[Trace], stagger_ms: f64) -> Trace {
-        let mut all = Vec::new();
-        let mut base_offset = 0u64;
-        let mut base_proc = 0u32;
-        for (k, t) in traces.iter().enumerate() {
-            let mut max_end = 0u64;
-            let mut max_proc = 0u32;
-            for r in t.requests() {
-                max_end = max_end.max(r.offset + r.len);
-                max_proc = max_proc.max(r.proc_id);
-                all.push(IoRequest {
-                    arrival_ms: r.arrival_ms + stagger_ms * k as f64,
-                    offset: r.offset + base_offset,
-                    len: r.len,
-                    kind: r.kind,
-                    proc_id: r.proc_id + base_proc,
-                });
-            }
-            base_offset += max_end;
-            base_proc += max_proc + 1;
+        let extents: Vec<Extents> = traces
+            .iter()
+            .map(|t| Extents::of(&mut TraceStream::new(t)))
+            .collect();
+        let parts = traces.iter().map(TraceStream::new).collect();
+        let mut merged = MergedStream::new(parts, &extents, stagger_ms);
+        let mut all = Vec::with_capacity(traces.iter().map(Trace::len).sum());
+        while let Some(r) = merged.next_request() {
+            all.push(r);
         }
         Trace::from_requests(all)
     }
@@ -316,7 +307,7 @@ mod tests {
     fn merged_relocates_and_renumbers() {
         let a = Trace::from_requests(vec![req(0.0, 0, 4096, 0), req(10.0, 8192, 4096, 1)]);
         let b = Trace::from_requests(vec![req(5.0, 0, 4096, 0)]);
-        let m = Trace::merged(&[a, b], 100.0);
+        let m = Trace::merged(&[a.clone(), b], 100.0);
         assert_eq!(m.len(), 3);
         // b's request lands at offset >= a's end, proc 2, time 105.
         let moved = m
@@ -326,6 +317,16 @@ mod tests {
             .expect("renumbered request");
         assert!(moved.offset >= 12288);
         assert!((moved.arrival_ms - 105.0).abs() < 1e-9);
+        // Without a stagger, parts interleave by arrival and a tie goes to
+        // the earlier part: the stable sort of the concatenation.
+        let tie = Trace::from_requests(vec![req(0.0, 0, 4096, 0), req(5.0, 0, 4096, 0)]);
+        let m = Trace::merged(&[a, tie], 0.0);
+        let order: Vec<(f64, u32)> = m
+            .requests()
+            .iter()
+            .map(|r| (r.arrival_ms, r.proc_id))
+            .collect();
+        assert_eq!(order, [(0.0, 0), (0.0, 2), (5.0, 2), (10.0, 1)]);
     }
 
     #[test]

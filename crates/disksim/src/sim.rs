@@ -5,7 +5,7 @@
 
 use crate::disk::{DiskSim, SubRequest};
 use crate::params::{DiskParams, MigrationConfig, PowerPolicy, RaidConfig, TierConfig};
-use crate::request::Trace;
+use crate::request::{IoRequest, Trace};
 use crate::stats::{MigrationEvent, SimReport, TierReport, TierStats};
 use crate::stream::{RequestStream, TraceAccounting, TraceStream};
 use dpm_faults::FaultPlan;
@@ -196,64 +196,6 @@ impl Simulator {
             .collect()
     }
 
-    fn build_report(
-        &self,
-        disks: Vec<DiskSim>,
-        acc: Accum,
-        app_requests: u64,
-        obs_run: u64,
-        events: Vec<MigrationEvent>,
-    ) -> SimReport {
-        let idle_histograms = disks.iter().map(|d| d.idle_histogram().clone()).collect();
-        let timelines = if self.timelines {
-            Some(
-                disks
-                    .iter()
-                    .map(|d| d.timeline().unwrap_or_default().to_vec())
-                    .collect(),
-            )
-        } else {
-            None
-        };
-        let stream = disks.iter().map(|d| d.stream_metrics().clone()).collect();
-        let per_disk: Vec<_> = disks.into_iter().map(|d| d.stats().clone()).collect();
-        let tiers = match &self.tiers {
-            Some(setup) => {
-                let cfg = &setup.config;
-                let per_tier = (0..cfg.num_tiers())
-                    .map(|t| {
-                        let lo = cfg.first_disk(t);
-                        let slice = &per_disk[lo..lo + cfg.tiers()[t].disks];
-                        TierStats {
-                            class: cfg.tiers()[t].class.name,
-                            disks: cfg.tiers()[t].disks,
-                            energy_j: slice.iter().map(|d| d.energy_j).sum(),
-                            busy_ms: slice.iter().map(|d| d.busy_ms).sum(),
-                            standby_ms: slice.iter().map(|d| d.standby_ms).sum(),
-                            spin_downs: slice.iter().map(|d| d.spin_downs).sum(),
-                            migration_requests: slice.iter().map(|d| d.migration_requests).sum(),
-                            migration_bytes: slice.iter().map(|d| d.migration_bytes).sum(),
-                        }
-                    })
-                    .collect();
-                Some(TierReport { per_tier, events })
-            }
-            None => None,
-        };
-        SimReport {
-            makespan_ms: acc.makespan,
-            total_io_time_ms: acc.total_io_time_ms,
-            total_response_ms: acc.total_response_ms,
-            idle_histograms,
-            timelines,
-            stream,
-            per_disk,
-            app_requests,
-            obs_run,
-            tiers,
-        }
-    }
-
     /// Runs the simulation over a (time-sorted) trace: the thin adapter
     /// over [`run_stream`](Self::run_stream), feeding the materialized
     /// requests through the same event loop a live stream would use. The
@@ -268,63 +210,91 @@ impl Simulator {
     }
 
     /// Runs the simulation over any [`RequestStream`], pulling one request
-    /// at a time: resident memory is O(disks) no matter how long the
-    /// stream is. The loop is serial: each disk's energy depends only on
-    /// its own sub-request stream, but a per-disk worker pass never
-    /// measured faster than this loop (DESIGN §14).
+    /// at a time: the adapter that drives one [`SimRun`] from
+    /// [`start`](Self::start) to [`SimRun::finish`]. Resident memory is
+    /// O(disks) no matter how long the stream is.
     ///
     /// # Panics
     ///
     /// Panics if the stream's arrivals are not non-decreasing.
     pub fn run_stream(&self, stream: &mut dyn RequestStream) -> SimReport {
-        let obs_run = dpm_obs::next_run_id();
         let mut sp = dpm_obs::span!("simulate");
-        sp.add("run", obs_run);
-        let (report, accounting) = self.event_loop(stream, obs_run);
+        let mut run = self.start();
+        run.serve(std::iter::from_fn(|| stream.next_request()));
+        let report = run.finish();
+        sp.add("run", report.obs_run);
         sp.add("app_requests", report.app_requests);
         sp.add(
             "sub_requests",
             report.per_disk.iter().map(|d| d.requests).sum(),
         );
-        // Debug builds (hence every `cargo test`) verify the conservation
-        // laws after every run; see [`crate::invariants`]. Request
-        // conservation is judged against the accounting gathered while the
-        // stream flowed past — there is no trace to re-walk.
-        #[cfg(debug_assertions)]
-        match &self.tiers {
-            Some(setup) => crate::invariants::assert_clean_streamed_tiered(
-                &report,
-                &setup.config,
-                &self.raid,
-                &accounting,
-            ),
-            None => crate::invariants::assert_clean_streamed(
-                &report,
-                &self.params,
-                &self.raid,
-                &accounting,
-            ),
-        }
-        #[cfg(not(debug_assertions))]
-        let _ = &accounting;
         report
     }
 
-    /// Services every sub-request inline, in request order, pieces in
-    /// `(disk, local_byte)` order within a request.
-    fn event_loop(
-        &self,
-        stream: &mut dyn RequestStream,
-        obs_run: u64,
-    ) -> (SimReport, TraceAccounting) {
-        let _sp = dpm_obs::span!("sim_event_loop");
-        let mut disks = self.make_disks(obs_run);
-        let mut router = self.make_router();
-        let mut accounting = TraceAccounting::new(self.num_disks());
-        let mut acc = Accum::default();
-        let mut prev_arrival = f64::NEG_INFINITY;
-        let mut pieces: Vec<(usize, u64, u64)> = Vec::new();
-        while let Some(r) = stream.next_request() {
+    /// Starts a push-driven run: the caller [`feed`](SimRun::feed)s it
+    /// requests in arrival order and [`finish`](SimRun::finish)es it into
+    /// the report. Several runs can share one pass over a request source,
+    /// fed a block at a time; each run's report is bit-identical to
+    /// [`run_stream`](Self::run_stream) over the same requests. The run
+    /// takes its `obs_run` id here.
+    pub fn start(&self) -> SimRun<'_> {
+        let obs_run = dpm_obs::next_run_id();
+        SimRun {
+            sim: self,
+            obs_run,
+            disks: self.make_disks(obs_run),
+            router: self.make_router(),
+            accounting: TraceAccounting::new(self.num_disks()),
+            acc: Accum::default(),
+            prev_arrival: f64::NEG_INFINITY,
+            pieces: Vec::new(),
+        }
+    }
+}
+
+/// One simulation in progress, fed requests in arrival order (see
+/// [`Simulator::start`]). It services every sub-request inline, in request
+/// order, pieces in `(disk, local_byte)` order within a request. The loop
+/// is serial: each disk's energy depends only on its own sub-request
+/// stream, but a per-disk worker pass never measured faster (DESIGN §14).
+pub struct SimRun<'s> {
+    sim: &'s Simulator,
+    obs_run: u64,
+    disks: Vec<DiskSim>,
+    router: Option<TierRouter>,
+    /// Expected per-disk work, folded as requests flow past: request
+    /// conservation is judged against it, as there is no trace to re-walk.
+    accounting: TraceAccounting,
+    acc: Accum,
+    prev_arrival: f64,
+    /// Scratch for one request's striping pieces `(disk, local_byte, len)`.
+    pieces: Vec<(usize, u64, u64)>,
+}
+
+impl SimRun<'_> {
+    /// Services application requests in arrival order: one block of a
+    /// shared pass, or a single request (`std::slice::from_ref`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a request arrives before the previously fed one.
+    pub fn feed(&mut self, requests: &[IoRequest]) {
+        self.serve(requests.iter().copied());
+    }
+
+    /// The event loop. The run's state moves into locals for the length of
+    /// the loop and back after it: kept behind `&mut self`, every call out
+    /// of the loop would make the compiler reload it (measured 2–5% slower
+    /// at Paper scale).
+    fn serve(&mut self, requests: impl Iterator<Item = IoRequest>) {
+        let striping = &self.sim.striping;
+        let mut disks = std::mem::take(&mut self.disks);
+        let mut router = self.router.take();
+        let mut accounting = std::mem::replace(&mut self.accounting, TraceAccounting::new(0));
+        let mut acc = std::mem::take(&mut self.acc);
+        let mut prev_arrival = self.prev_arrival;
+        let mut pieces = std::mem::take(&mut self.pieces);
+        for r in requests {
             assert!(
                 r.arrival_ms >= prev_arrival,
                 "trace must be sorted by arrival time"
@@ -334,7 +304,7 @@ impl Simulator {
             let mut device_ms = 0.0_f64;
             match &router {
                 Some(rt) => rt.volume.split_range_into(r.offset, r.len, &mut pieces),
-                None => self.striping.split_range_into(r.offset, r.len, &mut pieces),
+                None => striping.split_range_into(r.offset, r.len, &mut pieces),
             }
             accounting.push(&r, &pieces);
             for &(disk, local_byte, len) in &pieces {
@@ -355,15 +325,82 @@ impl Simulator {
                 }
             }
         }
-        for d in &mut disks {
-            d.finish(acc.makespan);
+        self.disks = disks;
+        self.router = router;
+        self.accounting = accounting;
+        self.acc = acc;
+        self.prev_arrival = prev_arrival;
+        self.pieces = pieces;
+    }
+
+    /// Closes every disk at the makespan and builds the report. Debug
+    /// builds (hence every `cargo test`) verify the conservation laws
+    /// here, after every run, request conservation against the accounting
+    /// folded while requests flowed past; see [`crate::invariants`].
+    pub fn finish(mut self) -> SimReport {
+        let sim = self.sim;
+        let makespan_ms = self.acc.makespan;
+        for d in &mut self.disks {
+            d.finish(makespan_ms);
         }
-        let app_requests = accounting.app_requests;
-        let events = router.map(|r| r.events).unwrap_or_default();
-        (
-            self.build_report(disks, acc, app_requests, obs_run, events),
-            accounting,
-        )
+        let disks = self.disks;
+        let idle_histograms = disks.iter().map(|d| d.idle_histogram().clone()).collect();
+        let timelines = sim.timelines.then(|| {
+            disks
+                .iter()
+                .map(|d| d.timeline().unwrap_or_default().to_vec())
+                .collect()
+        });
+        let stream = disks.iter().map(|d| d.stream_metrics().clone()).collect();
+        let per_disk: Vec<_> = disks.into_iter().map(|d| d.stats().clone()).collect();
+        let tiers = sim.tiers.as_ref().map(|setup| {
+            let cfg = &setup.config;
+            let per_tier = (0..cfg.num_tiers())
+                .map(|t| {
+                    let lo = cfg.first_disk(t);
+                    let slice = &per_disk[lo..lo + cfg.tiers()[t].disks];
+                    TierStats {
+                        class: cfg.tiers()[t].class.name,
+                        disks: cfg.tiers()[t].disks,
+                        energy_j: slice.iter().map(|d| d.energy_j).sum(),
+                        busy_ms: slice.iter().map(|d| d.busy_ms).sum(),
+                        standby_ms: slice.iter().map(|d| d.standby_ms).sum(),
+                        spin_downs: slice.iter().map(|d| d.spin_downs).sum(),
+                        migration_requests: slice.iter().map(|d| d.migration_requests).sum(),
+                        migration_bytes: slice.iter().map(|d| d.migration_bytes).sum(),
+                    }
+                })
+                .collect();
+            let events = self.router.take().map(|r| r.events).unwrap_or_default();
+            TierReport { per_tier, events }
+        });
+        let report = SimReport {
+            makespan_ms,
+            total_io_time_ms: self.acc.total_io_time_ms,
+            total_response_ms: self.acc.total_response_ms,
+            idle_histograms,
+            timelines,
+            stream,
+            per_disk,
+            app_requests: self.accounting.app_requests,
+            obs_run: self.obs_run,
+            tiers,
+        };
+        #[cfg(debug_assertions)]
+        {
+            use crate::invariants::{check_accounting, check_report, check_report_tiered};
+            let mut v = match &sim.tiers {
+                Some(setup) => check_report_tiered(&report, &setup.config, &sim.raid),
+                None => check_report(&report, &sim.params, &sim.raid),
+            };
+            v.extend(check_accounting(&report, &self.accounting));
+            assert!(
+                v.is_empty(),
+                "simulator invariants violated:\n{}",
+                v.iter().map(|x| format!("  - {x}\n")).collect::<String>()
+            );
+        }
+        report
     }
 }
 

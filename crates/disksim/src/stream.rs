@@ -9,6 +9,9 @@
 //! lets the full experiment matrix run in resident memory that does not
 //! grow with trace length.
 //!
+//! [`MergedStream`] interleaves several applications' streams into one
+//! shared-system stream without materializing any of them.
+//!
 //! [`TraceAccounting`] is the streaming replacement for re-walking a
 //! trace after the run: the event loop folds per-disk expected work into
 //! it as requests flow past, and the invariant checker compares those
@@ -53,6 +56,110 @@ impl RequestStream for TraceStream<'_> {
     fn next_request(&mut self) -> Option<IoRequest> {
         let r = self.requests.get(self.pos).copied();
         self.pos += r.is_some() as usize;
+        r
+    }
+}
+
+/// How far a request stream reaches: the end of its address range and
+/// its highest processor id. A merge relocates each part past the extents
+/// of the parts before it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Extents {
+    /// One past the last byte any request touches.
+    pub max_end: u64,
+    /// The highest processor id seen (0 for an empty stream).
+    pub max_proc: u32,
+}
+
+impl Extents {
+    /// The extents of a whole stream, draining it.
+    pub fn of(stream: &mut dyn RequestStream) -> Extents {
+        let mut e = Extents::default();
+        while let Some(r) = stream.next_request() {
+            e.max_end = e.max_end.max(r.offset + r.len);
+            e.max_proc = e.max_proc.max(r.proc_id);
+        }
+        e
+    }
+}
+
+/// The shared-system merge of several applications' request streams, the
+/// one home of the multi-program relocation rule: part `k`'s arrivals are
+/// shifted by `k * stagger_ms`, its offsets relocated past the previous
+/// parts' address ranges (so independent applications' files do not
+/// alias), and its processor ids renumbered into a disjoint range.
+///
+/// Each part must be sorted by arrival. Taking the earliest head, the
+/// lowest part index on ties, then yields the stable arrival sort of the
+/// relocated concatenation, which is what [`Trace::merged`] returns.
+pub struct MergedStream<S> {
+    parts: Vec<MergePart<S>>,
+}
+
+struct MergePart<S> {
+    stream: S,
+    head: Option<IoRequest>,
+    stagger_ms: f64,
+    offset: u64,
+    proc: u32,
+}
+
+impl<S: RequestStream> MergePart<S> {
+    fn advance(&mut self) {
+        self.head = self.stream.next_request().map(|r| IoRequest {
+            arrival_ms: r.arrival_ms + self.stagger_ms,
+            offset: r.offset + self.offset,
+            proc_id: r.proc_id + self.proc,
+            ..r
+        });
+    }
+}
+
+impl<S: RequestStream> MergedStream<S> {
+    /// Merges `streams`; `extents[k]` are part `k`'s extents, needed for
+    /// every part but the last (the relocation bases are their prefix
+    /// sums).
+    ///
+    /// # Panics
+    ///
+    /// Panics if fewer extents than parts before the last are given.
+    pub fn new(streams: Vec<S>, extents: &[Extents], stagger_ms: f64) -> MergedStream<S> {
+        assert!(
+            extents.len() + 1 >= streams.len(),
+            "a merge of {} parts needs the extents of all but the last",
+            streams.len()
+        );
+        let (mut offset, mut proc) = (0u64, 0u32);
+        let mut parts = Vec::with_capacity(streams.len());
+        for (k, stream) in streams.into_iter().enumerate() {
+            let mut part = MergePart {
+                stream,
+                head: None,
+                stagger_ms: stagger_ms * k as f64,
+                offset,
+                proc,
+            };
+            part.advance();
+            parts.push(part);
+            if let Some(e) = extents.get(k) {
+                offset += e.max_end;
+                proc += e.max_proc + 1;
+            }
+        }
+        MergedStream { parts }
+    }
+}
+
+impl<S: RequestStream> RequestStream for MergedStream<S> {
+    fn next_request(&mut self) -> Option<IoRequest> {
+        let (k, _) = self
+            .parts
+            .iter()
+            .enumerate()
+            .filter_map(|(k, p)| Some((k, p.head.as_ref()?.arrival_ms)))
+            .min_by(|(ka, ta), (kb, tb)| ta.total_cmp(tb).then(ka.cmp(kb)))?;
+        let r = self.parts[k].head.take();
+        self.parts[k].advance();
         r
     }
 }

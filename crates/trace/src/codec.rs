@@ -1,14 +1,12 @@
-//! Compact binary trace codec: spill a request stream once, replay it
-//! many times.
+//! Compact binary trace codec: write a request stream to a file once,
+//! read it back any number of times.
 //!
-//! The full experiment matrix simulates every trace under several power
-//! policies. Materializing a `Scale::Full` trace (10⁷+ requests × 32-byte
-//! [`IoRequest`]s) for that would defeat the streaming pipeline, and
-//! regenerating it per policy would triple generation time — so the
-//! pipeline generates once, spills through [`TraceWriter`], and replays
-//! each policy run from a [`TraceReader`] (itself a
-//! [`RequestStream`](dpm_disksim::RequestStream), so the simulator can't
-//! tell it from a live generator).
+//! A [`TraceWriter`] encodes any request stream; a [`TraceReader`] is
+//! itself a [`RequestStream`](dpm_disksim::RequestStream), so the
+//! simulator can't tell it from a live generator. The experiment harness
+//! no longer spills (one generation pass feeds every simulator); the
+//! end-to-end benchmark's `stream-paper` and `chaos-large` workloads
+//! still compose a spill and its replays from these two types.
 //!
 //! ## Record layout
 //!

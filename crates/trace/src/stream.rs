@@ -2,8 +2,9 @@
 //! [`TraceGenerator::generate`](crate::TraceGenerator::generate).
 //!
 //! The batch path materializes every processor's requests and stable-sorts
-//! them by arrival; at `Scale::Full` that is gigabytes of `IoRequest`s. The
-//! streaming path produces the *same sequence* one request at a time:
+//! them by arrival; at `Scale::Paper` that is tens of megabytes of
+//! `IoRequest`s per trace. The streaming path produces the *same sequence*
+//! one request at a time:
 //!
 //! * an [`IterCursor`] walks one processor's iterations of one phase
 //!   lazily (the [`StreamOrder`] trait supplies cursors; closed-form orders
@@ -219,6 +220,13 @@ impl StreamOrder for crate::SetOrder {
     }
 }
 
+/// Requests a lane emits per [`GenStream`] drive before the merge looks
+/// again. Driving a lane only to its first request made the merge rescan
+/// every lane once per request; a block amortizes that over many, at the
+/// cost of buffering at most this many requests (plus one iteration's
+/// worth) per lane.
+const EMIT_BLOCK: usize = 64;
+
 /// One request in a processor's release buffer, ordered by
 /// `(arrival bits, emission seq)`. Arrivals are finite and non-negative,
 /// so their IEEE-754 bit patterns order exactly like `total_cmp`.
@@ -283,7 +291,8 @@ impl Lane<'_> {
 ///
 /// Create with [`TraceGenerator::stream`]; consume via
 /// [`RequestStream::next_request`] (e.g. feed it straight to
-/// `Simulator::run_stream`) or spill it through the binary codec. Call
+/// `Simulator::run_stream`, or to every simulator of a pass through
+/// `dpm_bench::simulate_all`). Call
 /// [`stats`](GenStream::stats) after exhaustion for the generation
 /// statistics.
 ///
@@ -299,7 +308,6 @@ pub struct GenStream<'g> {
     stats: TraceStats,
     point: Vec<i64>,
     run_finished: bool,
-    span: Option<dpm_obs::SpanGuard>,
 }
 
 impl<'p> TraceGenerator<'p> {
@@ -307,10 +315,7 @@ impl<'p> TraceGenerator<'p> {
     /// time. The yielded sequence (and final [`GenStream::stats`]) is
     /// bit-identical to [`generate`](Self::generate) on the same order.
     pub fn stream<'g>(&'g self, order: &'g dyn StreamOrder) -> GenStream<'g> {
-        let mut sp = dpm_obs::span("trace_stream");
         let nprocs = order.num_procs();
-        sp.add("procs", u64::from(nprocs));
-        sp.add("phases", order.num_phases() as u64);
         let lanes = (0..nprocs)
             .map(|proc| Lane {
                 st: self.proc_state(proc),
@@ -330,7 +335,6 @@ impl<'p> TraceGenerator<'p> {
             stats: TraceStats::default(),
             point: Vec::new(),
             run_finished: false,
-            span: Some(sp),
         };
         if order.num_phases() == 0 {
             s.finish_run();
@@ -370,14 +374,15 @@ impl GenStream<'_> {
         }
     }
 
-    /// Runs lane `i` until it emits a request or finishes its phase (and
-    /// its end-of-phase flush), then buffers what it emitted.
+    /// Runs lane `i` until it emits [`EMIT_BLOCK`] requests or finishes
+    /// its phase (and its end-of-phase flush), then buffers what it
+    /// emitted.
     ///
-    /// Running a lane through iterations that emit nothing cannot change
-    /// the merge: its buffer stays as it was, and its watermark only rises
-    /// (the clock only advances, and new streams open at the clock), so no
-    /// other lane's release waits on it for longer than it would have. The
-    /// release rule alone fixes the output order.
+    /// How far a lane runs ahead cannot change the merge: its buffer only
+    /// gains requests, kept sorted by key, and its watermark only rises
+    /// (the clock only advances, and new streams open at the clock), so it
+    /// stays a lower bound on the lane's future emissions. The release
+    /// rule alone fixes the output order.
     fn drive(&mut self, i: usize) {
         let lane = &mut self.lanes[i];
         let contention = self.contention[i];
@@ -385,7 +390,7 @@ impl GenStream<'_> {
             return;
         };
         let mut phase_done = false;
-        while lane.st.requests.is_empty() {
+        while lane.st.requests.len() < EMIT_BLOCK {
             match cursor.next(&mut self.point) {
                 Some(nest) => self.generator.execute_iteration(
                     nest,
@@ -432,11 +437,6 @@ impl GenStream<'_> {
             self.start_phase();
         } else {
             self.finish_run();
-            if let Some(mut sp) = self.span.take() {
-                sp.add("requests", self.stats.requests);
-                sp.add("cache_hits", self.stats.cache_hits);
-                sp.add("element_accesses", self.stats.element_accesses);
-            }
         }
     }
 }
