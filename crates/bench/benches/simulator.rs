@@ -10,7 +10,7 @@ use dpm_apps::Scale;
 use dpm_bench::microbench::{bench, group};
 use dpm_bench::ExperimentConfig;
 use dpm_core::{apply_transform, Transform};
-use dpm_disksim::{DrpmConfig, PowerPolicy, Simulator, TpmConfig, Trace};
+use dpm_disksim::{DrpmConfig, FaultPlan, PowerPolicy, Simulator, TpmConfig, Trace};
 use dpm_layout::LayoutMap;
 use dpm_trace::TraceGenerator;
 
@@ -46,18 +46,28 @@ fn main() {
         r.ns_per_element(p.total_iterations())
     );
 
+    // Per sub-request, the unit the simulator's bookkeeping works in: one
+    // application request splits into one piece per disk it touches. The
+    // chaos replay keeps the queue gauge's completion window full.
     group("simulate");
     let (config, trace) = prepared_trace(false);
-    for (name, policy) in [
-        ("base", PowerPolicy::None),
-        ("tpm", PowerPolicy::Tpm(TpmConfig::default())),
-        ("drpm", PowerPolicy::Drpm(DrpmConfig::default())),
+    let tpm = PowerPolicy::Tpm(TpmConfig::default());
+    for (name, policy, faults) in [
+        ("base", PowerPolicy::None, FaultPlan::zero()),
+        ("tpm", tpm, FaultPlan::zero()),
+        (
+            "drpm",
+            PowerPolicy::Drpm(DrpmConfig::default()),
+            FaultPlan::zero(),
+        ),
+        ("tpm_chaos_0.2", tpm, FaultPlan::chaos(1, 0.2)),
     ] {
-        let sim = Simulator::new(config.disk, policy, config.striping);
+        let sim = Simulator::new(config.disk, policy, config.striping).with_faults(faults);
+        let sub_requests: u64 = sim.run(&trace).per_disk.iter().map(|d| d.requests).sum();
         let r = bench(&format!("simulate/{name}"), || sim.run(&trace));
         println!(
-            "    ({:.1} ns per request)",
-            r.ns_per_element(trace.len() as u64)
+            "    ({:.1} ns per sub-request, {sub_requests} sub-requests)",
+            r.ns_per_element(sub_requests)
         );
     }
 

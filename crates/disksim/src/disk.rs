@@ -2,7 +2,9 @@
 //! integration, and the TPM / DRPM power-management state machines.
 
 use crate::metrics::DiskStreamMetrics;
-use crate::params::{DirectiveConfig, DiskParams, DrpmConfig, PowerPolicy, RaidConfig, TpmConfig};
+use crate::params::{
+    DirectiveConfig, DiskParams, DrpmConfig, PowerPolicy, RaidConfig, ServiceTime, TpmConfig,
+};
 use crate::stats::{DiskStats, IdleHistogram, Span, SpanState};
 use dpm_faults::{FaultInjector, RetryPolicy};
 
@@ -49,12 +51,19 @@ pub struct DiskSim {
     raid: RaidConfig,
     /// Time up to which this disk's behaviour has been decided.
     clock_ms: f64,
-    /// Current spindle speed (always `max_rpm` for non-DRPM disks).
+    /// Current spindle speed (always `max_rpm` for non-DRPM disks). Only
+    /// [`DiskSim::set_rpm`] writes it, so the constants below stay in step.
     rpm: u32,
-    /// Ends of recently serviced byte ranges, one per detected sequential
-    /// stream (disk firmware tracks several concurrent sequential streams
-    /// for its readahead engine).
-    stream_ends: Vec<u64>,
+    /// The service-time model at `rpm`.
+    service: ServiceTime,
+    /// The service-time model at `max_rpm` (the DRPM controller's target).
+    service_max: ServiceTime,
+    /// Node power while idle at `rpm`, W (members × the per-disk draw).
+    idle_w: f64,
+    /// Node power while servicing at `rpm`, W.
+    active_w: f64,
+    /// The firmware's sequential-stream table (readahead detection).
+    streams: SequentialStreams,
     /// DRPM window accumulators.
     window_requests: u32,
     window_response_ms: f64,
@@ -90,13 +99,18 @@ impl DiskSim {
 
     /// Creates an I/O node backed by a RAID set of identical disks.
     pub fn with_raid(params: DiskParams, policy: PowerPolicy, raid: RaidConfig) -> Self {
-        DiskSim {
+        let full_speed = params.service_at(params.max_rpm);
+        let mut disk = DiskSim {
             rpm: params.max_rpm,
+            service: full_speed,
+            service_max: full_speed,
+            idle_w: 0.0,
+            active_w: 0.0,
             params,
             policy,
             raid,
             clock_ms: 0.0,
-            stream_ends: Vec::new(),
+            streams: SequentialStreams::default(),
             window_requests: 0,
             window_response_ms: 0.0,
             window_target_ms: 0.0,
@@ -111,7 +125,9 @@ impl DiskSim {
             injector: None,
             stuck_reported: false,
             stream: DiskStreamMetrics::new(),
-        }
+        };
+        disk.set_rpm(params.max_rpm);
+        disk
     }
 
     /// Arms fault injection: subsequent services consult `injector` at
@@ -225,11 +241,11 @@ impl DiskSim {
         }
         // If the disk was still busy at arrival, service starts when free.
         let start = ready_ms.max(self.clock_ms);
-        let sequential = self.note_stream(r.local_byte, r.len);
+        let sequential = self.streams.continues(r.local_byte, r.len);
         // RAID-0 members transfer their chunk shares in parallel; the node
         // completes when the most-loaded member does.
         let member_bytes = self.raid.max_member_bytes(r.len);
-        let mut svc = self.params.service_ms(member_bytes, self.rpm, sequential);
+        let mut svc = self.service.ms(member_bytes, sequential);
         let jitter = self.injector.as_mut().map_or(0.0, FaultInjector::jitter_ms);
         if jitter > 0.0 {
             svc += jitter;
@@ -322,9 +338,7 @@ impl DiskSim {
         }
         // DRPM window bookkeeping.
         if let PowerPolicy::Drpm(cfg) = self.policy {
-            let target = self
-                .params
-                .service_ms(r.len, self.params.max_rpm, sequential);
+            let target = self.service_max.ms(r.len, sequential);
             self.window_response_ms += completion - r.arrival_ms;
             self.window_target_ms += target;
             self.window_requests += 1;
@@ -567,7 +581,7 @@ impl DiskSim {
             let overrun = (consumed + t) - gap;
             self.accrue_transition(t, self.rpm.max(target));
             self.stats.speed_changes += 1;
-            self.rpm = target;
+            self.set_rpm(target);
             if overrun > 0.0 {
                 // The arrival lands mid-transition and waits for it.
                 return overrun;
@@ -602,7 +616,7 @@ impl DiskSim {
         }
         self.accrue_transition(up_ms, self.params.max_rpm);
         self.stats.speed_changes += u64::from(levels);
-        self.rpm = self.params.max_rpm;
+        self.set_rpm(self.params.max_rpm);
     }
 
     /// DRPM end-of-window decision: compare the window's mean response to
@@ -654,25 +668,18 @@ impl DiskSim {
         let t = cfg.transition_ms_per_step * f64::from(steps);
         self.accrue_transition(t, from.max(to));
         self.stats.speed_changes += 1;
-        self.rpm = to;
+        self.set_rpm(to);
         self.clock_ms += t;
     }
 
-    /// Number of concurrent sequential streams the firmware tracks.
-    const STREAMS: usize = 32;
-
-    /// Records the serviced range in the stream table and reports whether
-    /// it continued an existing sequential stream.
-    fn note_stream(&mut self, local_byte: u64, len: u64) -> bool {
-        if let Some(slot) = self.stream_ends.iter_mut().find(|e| **e == local_byte) {
-            *slot = local_byte + len;
-            return true;
-        }
-        if self.stream_ends.len() == Self::STREAMS {
-            self.stream_ends.remove(0);
-        }
-        self.stream_ends.push(local_byte + len);
-        false
+    /// Sets the spindle speed and recomputes the model at it: the one
+    /// place `rpm` changes, so every service and accrual reads constants
+    /// computed once per speed change instead of once per call.
+    fn set_rpm(&mut self, rpm: u32) {
+        self.rpm = rpm;
+        self.service = self.params.service_at(rpm);
+        self.idle_w = self.members() * self.params.idle_power_at_rpm_w(rpm);
+        self.active_w = self.members() * self.params.active_power_at_rpm_w(rpm);
     }
 
     /// The node's disks spin in lock-step, so power scales with the member
@@ -686,16 +693,14 @@ impl DiskSim {
         let ms = ms.max(0.0);
         self.stream.residency.accrue(self.rpm, ms);
         self.stats.idle_ms += ms;
-        self.stats.energy_j +=
-            self.members() * self.params.idle_power_at_rpm_w(self.rpm) * ms / 1000.0;
+        self.stats.energy_j += self.idle_w * ms / 1000.0;
         self.push_span(ms, SpanState::Idle(self.rpm));
     }
 
     fn accrue_busy(&mut self, ms: f64) {
         self.stream.residency.accrue(self.rpm, ms);
         self.stats.busy_ms += ms;
-        self.stats.energy_j +=
-            self.members() * self.params.active_power_at_rpm_w(self.rpm) * ms / 1000.0;
+        self.stats.energy_j += self.active_w * ms / 1000.0;
         self.push_span(ms, SpanState::Busy);
     }
 
@@ -760,6 +765,56 @@ impl DiskSim {
         ];
         fields.extend_from_slice(extra);
         dpm_obs::emit(kind, name, &fields);
+    }
+}
+
+/// How many sequential streams the firmware tracks per disk.
+const SEQUENTIAL_STREAMS: usize = 32;
+
+/// A disk firmware's sequential-stream table: where each of its last 32
+/// streams ended, in a fixed ring searched oldest first. A sub-request
+/// that continues a stream skips positioning. The simulated disks and the
+/// trace generator's blocking estimate each keep one per disk.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct SequentialStreams {
+    /// Stream ends, oldest first from `head`. The ring fills slots
+    /// `0..len` in order before it first wraps, so `head` stays 0 until
+    /// then.
+    ends: [u64; SEQUENTIAL_STREAMS],
+    head: usize,
+    len: usize,
+}
+
+impl SequentialStreams {
+    /// Whether a `len`-byte piece at disk-local byte `local` continues a
+    /// tracked stream. The first matching stream, oldest first, advances
+    /// past the piece; otherwise the piece opens a new stream, replacing
+    /// the oldest when all are in use.
+    #[inline]
+    pub fn continues(&mut self, local: u64, len: u64) -> bool {
+        // Oldest to newest is `head..` then `..head` once the ring is
+        // full, and just `..len` before that (`head` is still 0).
+        let (older, newer) = if self.len < SEQUENTIAL_STREAMS {
+            (&self.ends[..self.len], &self.ends[..0])
+        } else {
+            (&self.ends[self.head..], &self.ends[..self.head])
+        };
+        let found = match older.iter().position(|&end| end == local) {
+            Some(k) => Some(self.head + k),
+            None => newer.iter().position(|&end| end == local),
+        };
+        if let Some(slot) = found {
+            self.ends[slot] = local + len;
+            return true;
+        }
+        if self.len == SEQUENTIAL_STREAMS {
+            self.ends[self.head] = local + len;
+            self.head = (self.head + 1) % SEQUENTIAL_STREAMS;
+        } else {
+            self.ends[self.len] = local + len;
+            self.len += 1;
+        }
+        false
     }
 }
 
@@ -1128,6 +1183,36 @@ mod tests {
         assert_eq!(s_none.energy_j.to_bits(), s_zero.energy_j.to_bits());
         assert_eq!(s_none.faults, 0);
         assert_eq!(s_zero.faults, 0);
+    }
+
+    /// The ring against the list semantics it must keep: a `VecDeque`
+    /// searched front to back, popped at the front when full.
+    #[test]
+    fn detector_matches_the_deque_model() {
+        use dpm_obs::XorShift64Star;
+        use std::collections::VecDeque;
+        let mut rng = XorShift64Star::new(7);
+        let mut rings = [SequentialStreams::default(); 3];
+        let mut model: Vec<VecDeque<u64>> = vec![VecDeque::new(); 3];
+        for step in 0..50_000 {
+            let disk = (rng.next_u64() % 3) as usize;
+            // Few distinct positions, so matches, duplicates and
+            // evictions all occur; some differ only above bit 32.
+            let local = (rng.next_u64() % 48) * 4096 + ((rng.next_u64() % 2) << 32);
+            let len = 4096 * (1 + rng.next_u64() % 2);
+            let q = &mut model[disk];
+            let want = if let Some(e) = q.iter_mut().find(|e| **e == local) {
+                *e = local + len;
+                true
+            } else {
+                if q.len() == SEQUENTIAL_STREAMS {
+                    q.pop_front();
+                }
+                q.push_back(local + len);
+                false
+            };
+            assert_eq!(rings[disk].continues(local, len), want, "step {step}");
+        }
     }
 
     #[test]

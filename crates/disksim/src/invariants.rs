@@ -25,6 +25,12 @@
 //! 5. **Request conservation** — no request is lost or duplicated: the
 //!    per-disk sub-request and byte totals match what the striping says
 //!    the trace splits into.
+//! 6. **Lower bounds on the run totals** — the makespan reaches the last
+//!    arrival (every request completes no earlier than it arrives), and
+//!    under flat striping the total I/O time covers each disk's busy time
+//!    (a request's device time covers every attempt its one piece on a
+//!    disk spends busy there). Without them a report whose totals were
+//!    lost, reading 0 after thousands of requests, would pass.
 //!
 //! Every simulation checks all of this automatically in debug builds
 //! (hence in every `cargo test`) when [`SimRun::finish`](crate::SimRun::finish)
@@ -67,11 +73,29 @@ fn tol(scale: f64) -> f64 {
 }
 
 /// Checks the report-internal invariants (time coverage, energy
-/// conservation, timeline contiguity, fault-counter accounting).
-/// Returns every violation found; an empty vector means the report is
-/// consistent.
+/// conservation, timeline contiguity, fault-counter accounting, and the
+/// I/O time covering every disk's busy time). Returns every violation
+/// found; an empty vector means the report is consistent.
 pub fn check_report(report: &SimReport, params: &DiskParams, raid: &RaidConfig) -> Vec<Violation> {
-    check_report_params(report, raid, &|_| *params)
+    let mut v = check_report_params(report, raid, &|_| *params);
+    // (6) Flat striping gives a request at most one piece per disk, and
+    // that piece's device time (stall plus every attempt and backoff) is
+    // at least what it adds to the disk's busy time; migration traffic is
+    // busy time that no application request accounts for.
+    let io = report.total_io_time_ms;
+    for (disk, d) in report.per_disk.iter().enumerate() {
+        if d.migration_requests == 0 && io < d.busy_ms - tol(d.busy_ms) {
+            violation(
+                &mut v,
+                Some(disk),
+                format!(
+                    "total I/O time {io} ms falls short of the disk's busy time {} ms",
+                    d.busy_ms
+                ),
+            );
+        }
+    }
+    v
 }
 
 /// Class-aware form of [`check_report`] for heterogeneous runs: each
@@ -433,6 +457,16 @@ pub fn check_trace_accounting(
 /// re-walk. Every run in debug builds goes through this.
 pub fn check_accounting(report: &SimReport, acc: &TraceAccounting) -> Vec<Violation> {
     let mut v = Vec::new();
+    if report.makespan_ms < acc.max_arrival_ms {
+        violation(
+            &mut v,
+            None,
+            format!(
+                "makespan {} ms precedes the last arrival at {} ms",
+                report.makespan_ms, acc.max_arrival_ms
+            ),
+        );
+    }
     if report.app_requests != acc.app_requests {
         violation(
             &mut v,
@@ -598,6 +632,26 @@ mod tests {
         );
         assert!(check_report(&report, &DiskParams::default(), &RaidConfig::single()).is_empty());
         assert!(check_trace_accounting(&report, &t, &striping).is_empty());
+    }
+
+    /// Lost run totals: a makespan and I/O time of 0 after 40 requests
+    /// violate both lower bounds.
+    #[test]
+    fn detects_lost_totals() {
+        let striping = Striping::new(4096, 4, 0);
+        let sim = Simulator::new(DiskParams::default(), PowerPolicy::None, striping);
+        let t = trace();
+        let mut report = sim.run(&t);
+        report.makespan_ms = 0.0;
+        report.total_io_time_ms = 0.0;
+        let v = check_trace_accounting(&report, &t, &striping);
+        assert!(v
+            .iter()
+            .any(|x| x.what.contains("precedes the last arrival")));
+        let v = check_report(&report, &DiskParams::default(), &RaidConfig::single());
+        assert!(v
+            .iter()
+            .any(|x| x.what.contains("falls short of the disk's busy time")));
     }
 
     #[test]

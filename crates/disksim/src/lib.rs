@@ -56,7 +56,7 @@ mod sim;
 mod stats;
 mod stream;
 
-pub use disk::{DiskSim, SubRequest};
+pub use disk::{DiskSim, SequentialStreams, SubRequest};
 pub use dpm_faults::{FaultInjector, FaultPlan, RetryPolicy};
 pub use hist::LogHistogram;
 pub use metrics::{DiskStreamMetrics, QueueDepthGauge, RpmResidency};

@@ -18,6 +18,7 @@
 
 use crate::hist::LogHistogram;
 use dpm_obs::Json;
+use std::collections::VecDeque;
 
 /// Bounded window of in-flight completion times tracked by the gauge.
 /// Constant memory: depths beyond this saturate (recorded as `CAP`).
@@ -32,8 +33,9 @@ const DEPTH_WINDOW: usize = 64;
 /// integrates `depth × Δt` between arrivals.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct QueueDepthGauge {
-    /// Outstanding completion times, oldest first (bounded ring).
-    window: Vec<f64>,
+    /// Outstanding completion times, oldest first and non-decreasing (a
+    /// FIFO of at most `DEPTH_WINDOW`).
+    window: VecDeque<f64>,
     /// `Σ depth · Δt` in depth·ms of simulated time.
     depth_ms: f64,
     /// Simulated time of the last sample.
@@ -52,21 +54,29 @@ impl QueueDepthGauge {
 
     /// Samples the gauge at an arrival: expires completions at or before
     /// `arrival_ms`, charges the elapsed interval at the previous depth,
-    /// and counts the sample.
+    /// and counts the sample. The window is sorted, so the expired
+    /// completions are a prefix of it.
     pub fn on_arrival(&mut self, arrival_ms: f64) {
         let dt = (arrival_ms - self.last_ms).max(0.0);
         self.depth_ms += self.window.len() as f64 * dt;
         self.last_ms = self.last_ms.max(arrival_ms);
-        self.window.retain(|&c| c > arrival_ms);
+        while self.window.front().is_some_and(|&c| c <= arrival_ms) {
+            self.window.pop_front();
+        }
         self.samples += 1;
     }
 
-    /// Registers a request's completion time (non-decreasing per disk).
+    /// Registers a request's completion time (non-decreasing per disk:
+    /// the disk serves its sub-requests in FIFO order).
     pub fn on_completion(&mut self, completion_ms: f64) {
+        debug_assert!(
+            self.window.back().is_none_or(|&c| c <= completion_ms),
+            "completion {completion_ms} ms precedes an earlier one"
+        );
         if self.window.len() == DEPTH_WINDOW {
-            self.window.remove(0);
+            self.window.pop_front();
         }
-        self.window.push(completion_ms);
+        self.window.push_back(completion_ms);
         self.max_depth = self.max_depth.max(self.window.len() as u64);
     }
 
@@ -240,6 +250,86 @@ mod tests {
         }
         assert!(g.window.len() <= DEPTH_WINDOW);
         assert_eq!(g.max_depth(), DEPTH_WINDOW as u64);
+    }
+
+    /// The reference gauge: its window is filtered with `retain` at every
+    /// arrival and shifted with `remove(0)` when full, which holds whatever
+    /// order completions come in.
+    #[derive(Default)]
+    struct ModelGauge {
+        window: Vec<f64>,
+        depth_ms: f64,
+        last_ms: f64,
+        max_depth: u64,
+        samples: u64,
+    }
+
+    impl ModelGauge {
+        fn on_arrival(&mut self, arrival_ms: f64) {
+            let dt = (arrival_ms - self.last_ms).max(0.0);
+            self.depth_ms += self.window.len() as f64 * dt;
+            self.last_ms = self.last_ms.max(arrival_ms);
+            self.window.retain(|&c| c > arrival_ms);
+            self.samples += 1;
+        }
+
+        fn on_completion(&mut self, completion_ms: f64) {
+            if self.window.len() == DEPTH_WINDOW {
+                self.window.remove(0);
+            }
+            self.window.push(completion_ms);
+            self.max_depth = self.max_depth.max(self.window.len() as u64);
+        }
+    }
+
+    /// Seeded single-disk arrival/completion sequences: floods that
+    /// saturate the window, long gaps that drain it, arrivals at the same
+    /// instant as the previous one or exactly at a pending completion, and
+    /// zero-length services (equal completions).
+    #[test]
+    fn gauge_matches_the_retain_model() {
+        use dpm_obs::XorShift64Star;
+        let (mut saturated, mut on_completion, mut same_instant) = (0, 0, 0);
+        for seed in 1..=6u64 {
+            let mut rng = XorShift64Star::new(seed);
+            let mut g = QueueDepthGauge::new();
+            let mut m = ModelGauge::default();
+            let (mut now, mut free) = (0.0_f64, 0.0_f64);
+            for step in 0..20_000 {
+                let flood = (step / 500) % 2 == 0;
+                match rng.next_u64() % 8 {
+                    0 => same_instant += 1,
+                    1 if m.window.iter().any(|&c| c > now) => {
+                        let pending: Vec<f64> =
+                            m.window.iter().copied().filter(|&c| c > now).collect();
+                        now = pending[rng.next_u64() as usize % pending.len()];
+                        on_completion += 1;
+                    }
+                    2 if !flood => now += rng.uniform(400.0),
+                    _ if flood => now += rng.uniform(0.05),
+                    _ => now += rng.uniform(8.0),
+                }
+                g.on_arrival(now);
+                m.on_arrival(now);
+                let service = match rng.next_u64() % 6 {
+                    0 => 0.0,
+                    _ => rng.uniform(4.0),
+                };
+                free = now.max(free) + service;
+                g.on_completion(free);
+                m.on_completion(free);
+                let label = format!("seed {seed} step {step}");
+                assert_eq!(g.depth_ms.to_bits(), m.depth_ms.to_bits(), "{label}");
+                assert_eq!(g.max_depth, m.max_depth, "{label}");
+                assert_eq!(g.samples, m.samples, "{label}");
+                assert!(g.window.iter().eq(&m.window), "{label}");
+                saturated += usize::from(g.window.len() == DEPTH_WINDOW);
+            }
+        }
+        assert!(
+            saturated > 0 && on_completion > 0 && same_instant > 0,
+            "saturated {saturated}, at a completion {on_completion}, same instant {same_instant}"
+        );
     }
 
     #[test]

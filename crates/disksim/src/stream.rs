@@ -166,14 +166,18 @@ impl<S: RequestStream> RequestStream for MergedStream<S> {
 
 /// Expected-work totals accumulated while a stream is consumed, replacing
 /// the post-hoc trace walk the invariant checker used to do: application
-/// request/byte counts and, per disk, the sub-requests and bytes the
-/// striping assigned to it.
+/// request/byte counts, the latest arrival and, per disk, the
+/// sub-requests and bytes the striping assigned to it.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TraceAccounting {
     /// Application-level requests consumed from the stream.
     pub app_requests: u64,
     /// Total application bytes requested.
     pub app_bytes: u64,
+    /// The largest arrival time consumed, ms (0 before the first request).
+    /// Every request completes no earlier than it arrives, so the makespan
+    /// is at least this.
+    pub max_arrival_ms: f64,
     /// Per-disk sub-request counts the striping split produced.
     pub want_requests: Vec<u64>,
     /// Per-disk byte totals the striping split produced.
@@ -186,6 +190,7 @@ impl TraceAccounting {
         TraceAccounting {
             app_requests: 0,
             app_bytes: 0,
+            max_arrival_ms: 0.0,
             want_requests: vec![0; num_disks],
             want_bytes: vec![0; num_disks],
         }
@@ -196,6 +201,7 @@ impl TraceAccounting {
     pub fn push(&mut self, r: &IoRequest, pieces: &[(usize, u64, u64)]) {
         self.app_requests += 1;
         self.app_bytes += r.len;
+        self.max_arrival_ms = self.max_arrival_ms.max(r.arrival_ms);
         for &(disk, _, len) in pieces {
             self.want_requests[disk] += 1;
             self.want_bytes[disk] += len;
@@ -244,10 +250,18 @@ mod tests {
             proc_id: 0,
         };
         acc.push(&r, &[(0, 0, 100), (1, 0, 200)]);
-        acc.push(&r, &[(1, 200, 300)]);
-        assert_eq!(acc.app_requests, 2);
-        assert_eq!(acc.app_bytes, 600);
-        assert_eq!(acc.want_requests, vec![1, 2]);
-        assert_eq!(acc.want_bytes, vec![100, 500]);
+        acc.push(
+            &IoRequest {
+                arrival_ms: 7.5,
+                ..r
+            },
+            &[(1, 200, 300)],
+        );
+        acc.push(&r, &[(0, 100, 1)]);
+        assert_eq!(acc.app_requests, 3);
+        assert_eq!(acc.max_arrival_ms, 7.5);
+        assert_eq!(acc.app_bytes, 900);
+        assert_eq!(acc.want_requests, vec![2, 2]);
+        assert_eq!(acc.want_bytes, vec![101, 500]);
     }
 }

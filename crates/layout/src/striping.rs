@@ -158,6 +158,21 @@ impl Striping {
         assert!(len > 0, "range length must be positive");
         out.clear();
         let su = self.stripe_unit;
+        let stripe = self.stripe_of_offset(offset);
+        let within = offset - stripe * su;
+        if len <= su - within {
+            // Inside one stripe unit: a single piece, nothing to merge.
+            let local = self.local_block_of_stripe(stripe) * su + within;
+            out.push((self.disk_of_stripe(stripe), local, len));
+            return;
+        }
+        self.split_pieces(offset, len, out);
+    }
+
+    /// The general split behind [`split_range_into`](Self::split_range_into):
+    /// one piece per stripe, sorted, then locally adjacent pieces merged.
+    fn split_pieces(&self, offset: u64, len: u64, out: &mut Vec<(DiskId, u64, u64)>) {
+        let su = self.stripe_unit;
         let first = self.stripe_of_offset(offset);
         let last = self.stripe_of_offset(offset + len - 1);
         for s in first..=last {
@@ -265,6 +280,45 @@ mod tests {
         ] {
             assert_eq!(s.split_range(off, len), want, "off={off} len={len}");
         }
+    }
+
+    /// The one-piece path against the general split, over seeded
+    /// stripings (stripe units that are not powers of two, 3 and 72 disks,
+    /// start disks other than 0) and ranges that lie inside one stripe,
+    /// straddle two, or span several; each offset also gets the two
+    /// lengths either side of its stripe boundary.
+    #[test]
+    fn one_piece_path_matches_the_general_split() {
+        let mut rng = dpm_obs::XorShift64Star::new(0x5717);
+        let (mut fast, mut general) = (Vec::new(), Vec::new());
+        let mut one_piece = 0;
+        for disks in [3usize, 72] {
+            for _ in 0..8 {
+                let su = 3 + rng.next_u64() % 40_000;
+                let start = 1 + rng.next_u64() as usize % (disks - 1);
+                let s = Striping::new(su, disks, start);
+                let row = s.stripe_row_bytes();
+                for _ in 0..200 {
+                    let offset = rng.next_u64() % (4 * row);
+                    let to_boundary = su - offset % su;
+                    for len in [
+                        1 + rng.next_u64() % to_boundary,
+                        to_boundary,
+                        to_boundary + 1,
+                        to_boundary + 1 + rng.next_u64() % su,
+                        to_boundary + su + 1 + rng.next_u64() % (2 * row),
+                    ] {
+                        s.split_range_into(offset, len, &mut fast);
+                        general.clear();
+                        s.split_pieces(offset, len, &mut general);
+                        assert_eq!(fast, general, "{s}: offset {offset} len {len}");
+                        assert_eq!(fast.len() == 1, len <= to_boundary, "{s}: {offset}+{len}");
+                        one_piece += usize::from(fast.len() == 1);
+                    }
+                }
+            }
+        }
+        assert_eq!(one_piece, 2 * 2 * 8 * 200);
     }
 
     #[test]

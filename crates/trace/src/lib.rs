@@ -37,11 +37,11 @@
 #![warn(missing_docs)]
 
 use compile::CompiledProgram;
-use dpm_disksim::{DiskParams, IoRequest, RequestKind, ServiceTime, Trace};
+use dpm_disksim::{DiskParams, IoRequest, RequestKind, SequentialStreams, ServiceTime, Trace};
 use dpm_ir::{NestId, Program};
 use dpm_layout::LayoutMap;
 use dpm_obs::XorShift64Star;
-use window::{ReuseWindow, StreamDetector};
+use window::ReuseWindow;
 
 mod codec;
 pub mod compile;
@@ -301,9 +301,9 @@ struct ProcState {
     pending: Vec<Pending>,
     /// Recently-touched blocks (FIFO eviction).
     recent: ReuseWindow,
-    /// Per-disk recent sequential-stream end positions, for the nominal
-    /// blocking estimate.
-    detector: StreamDetector,
+    /// Per-disk sequential-stream tables, for the nominal blocking
+    /// estimate.
+    detector: Vec<SequentialStreams>,
     /// Scratch for per-disk request splitting in the blocking estimate
     /// (reused across requests to avoid a per-request allocation).
     split_buf: Vec<(usize, u64, u64)>,
@@ -368,7 +368,7 @@ impl<'p> TraceGenerator<'p> {
             rng: XorShift64Star::new(0x5eed_0000 + u64::from(proc)),
             pending: Vec::with_capacity(self.options.streams.max(1)),
             recent: ReuseWindow::with_capacity(self.options.reuse_window_blocks),
-            detector: StreamDetector::new(self.layout.striping().num_disks()),
+            detector: vec![SequentialStreams::default(); self.layout.striping().num_disks()],
             split_buf: Vec::new(),
             requests: Vec::new(),
         }
@@ -618,7 +618,7 @@ impl<'p> TraceGenerator<'p> {
                 .striping()
                 .split_range_into(p.offset, p.len, &mut st.split_buf);
             for &(disk, local_byte, len) in &st.split_buf {
-                let sequential = st.detector.continues(disk, local_byte, len);
+                let sequential = st.detector[disk].continues(local_byte, len);
                 worst = worst.max(self.service.ms(len, sequential));
             }
             let block = worst * contention;

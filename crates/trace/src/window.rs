@@ -1,9 +1,7 @@
-//! Flat per-processor generator state: the reuse window and the per-disk
-//! sequential-stream detector.
+//! Flat per-processor generator state: the reuse window.
 //!
-//! Both run once per block or per request piece, so both are fixed-size
-//! structures allocated when a processor's state is built; nothing
-//! allocates or resizes per access.
+//! It runs once per block, so it is a fixed-size structure allocated when
+//! a processor's state is built; nothing allocates or resizes per access.
 
 /// Marks an empty slot of the window's table. Block numbers are byte
 /// offsets divided by a block size of at least one byte, and a request
@@ -122,74 +120,6 @@ impl ReuseWindow {
     }
 }
 
-/// How many sequential streams the detector tracks per disk.
-const DETECTOR_STREAMS: usize = 32;
-
-/// One disk's recent stream end positions, oldest first from `head`. The
-/// ring fills slots `0..len` in order before it first wraps, so `head`
-/// stays 0 until then.
-#[derive(Clone, Copy, Debug)]
-struct DiskStreams {
-    ends: [u64; DETECTOR_STREAMS],
-    head: usize,
-    len: usize,
-}
-
-/// Per-disk sequential-stream detector mirroring the disk firmware's, for
-/// the nominal blocking estimate: each disk remembers where its last
-/// [`DETECTOR_STREAMS`] streams ended, in a fixed ring per disk.
-#[derive(Debug)]
-pub(crate) struct StreamDetector {
-    disks: Vec<DiskStreams>,
-}
-
-impl StreamDetector {
-    pub(crate) fn new(num_disks: usize) -> StreamDetector {
-        StreamDetector {
-            disks: vec![
-                DiskStreams {
-                    ends: [0; DETECTOR_STREAMS],
-                    head: 0,
-                    len: 0,
-                };
-                num_disks
-            ],
-        }
-    }
-
-    /// Whether a `len`-byte piece at disk-local byte `local` on `disk`
-    /// continues a tracked stream. The first matching stream, oldest
-    /// first, advances past the piece; otherwise the piece opens a new
-    /// stream, replacing the oldest when all are in use.
-    #[inline]
-    pub(crate) fn continues(&mut self, disk: usize, local: u64, len: u64) -> bool {
-        let s = &mut self.disks[disk];
-        // Oldest to newest is `head..` then `..head` once the ring is
-        // full, and just `..len` before that (`head` is still 0).
-        let (older, newer) = if s.len < DETECTOR_STREAMS {
-            (&s.ends[..s.len], &s.ends[..0])
-        } else {
-            (&s.ends[s.head..], &s.ends[..s.head])
-        };
-        let found = match older.iter().position(|&end| end == local) {
-            Some(k) => Some(s.head + k),
-            None => newer.iter().position(|&end| end == local),
-        };
-        if let Some(slot) = found {
-            s.ends[slot] = local + len;
-            return true;
-        }
-        if s.len == DETECTOR_STREAMS {
-            s.ends[s.head] = local + len;
-            s.head = (s.head + 1) % DETECTOR_STREAMS;
-        } else {
-            s.ends[s.len] = local + len;
-            s.len += 1;
-        }
-        false
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -276,32 +206,6 @@ mod tests {
                     assert!(hits > 0 && hits < stream.len(), "cap {cap}: {hits} hits");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn detector_matches_the_deque_model() {
-        let mut rng = XorShift64Star::new(7);
-        let mut det = StreamDetector::new(3);
-        let mut model: Vec<VecDeque<u64>> = vec![VecDeque::new(); 3];
-        for step in 0..50_000 {
-            let disk = (rng.next_u64() % 3) as usize;
-            // Few distinct positions, so matches, duplicates and
-            // evictions all occur; some differ only above bit 32.
-            let local = (rng.next_u64() % 48) * 4096 + ((rng.next_u64() % 2) << 32);
-            let len = 4096 * (1 + rng.next_u64() % 2);
-            let q = &mut model[disk];
-            let want = if let Some(e) = q.iter_mut().find(|e| **e == local) {
-                *e = local + len;
-                true
-            } else {
-                if q.len() == DETECTOR_STREAMS {
-                    q.pop_front();
-                }
-                q.push_back(local + len);
-                false
-            };
-            assert_eq!(det.continues(disk, local, len), want, "step {step}");
         }
     }
 }

@@ -1,6 +1,7 @@
 //! Golden-report snapshots: the Tiny-scale `RunReport` JSON for the
-//! table-2 and figure-9 experiments under the zero-fault plan, compared
-//! field-by-field against checked-in files.
+//! table-2 and figure-9 experiments under the zero-fault plan, and for
+//! figure 9(a) under three chaos plans, compared field-by-field against
+//! checked-in files.
 //!
 //! These pin the *output* of the whole pipeline: any change to the
 //! compiler, trace generator, simulator, or report format that shifts a
@@ -18,6 +19,7 @@
 
 use dpm_apps::Scale;
 use dpm_bench::{run_matrix, ExperimentConfig, MatrixCell, RunReport, Version};
+use dpm_faults::FaultPlan;
 use dpm_obs::Json;
 use std::path::PathBuf;
 
@@ -73,6 +75,42 @@ fn build_figure9() -> Json {
         }
     }
     report.to_json()
+}
+
+/// The fault path's golden: figure 9(a) at Tiny under `FaultPlan::chaos(1,
+/// rate)` for three rates, one `figure9`-style report per rate. Retries and
+/// requeues keep the disks' completion windows full, so this pins the
+/// queue gauge at saturation, which the fault-free goldens never reach.
+fn build_chaos() -> Json {
+    let reports = [0.01, 0.05, 0.20]
+        .into_iter()
+        .map(|rate| {
+            let config = ExperimentConfig {
+                faults: FaultPlan::chaos(1, rate),
+                ..ExperimentConfig::default()
+            };
+            let mut report = RunReport::new("figure9a_chaos")
+                .with_config(&config)
+                .with_field("scale", Json::Str("Tiny".into()))
+                .with_field("chaos_rate", Json::F64(rate));
+            let cells: Vec<MatrixCell> = dpm_apps::suite(Scale::Tiny)
+                .into_iter()
+                .map(|app| MatrixCell {
+                    app,
+                    versions: Version::single_cpu().to_vec(),
+                    procs: 1,
+                })
+                .collect();
+            for res in &run_matrix(cells, &config) {
+                report.push_app(res);
+            }
+            report.to_json()
+        })
+        .collect();
+    Json::obj(vec![
+        ("title", Json::Str("chaos_tiny".into())),
+        ("rates", Json::Arr(reports)),
+    ])
 }
 
 /// The tier-sweep golden: every application of the Tiny suite through the
@@ -235,6 +273,11 @@ fn table2_tiny_matches_golden() {
 #[test]
 fn figure9_tiny_matches_golden() {
     check_golden("figure9_tiny.json", &build_figure9());
+}
+
+#[test]
+fn chaos_tiny_matches_golden() {
+    check_golden("chaos_tiny.json", &build_chaos());
 }
 
 #[test]
