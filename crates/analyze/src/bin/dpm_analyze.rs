@@ -19,21 +19,13 @@ use std::process::ExitCode;
 fn main() -> ExitCode {
     dpm_obs::init_from_env();
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale_arg = args.first().map(String::as_str).unwrap_or("tiny");
-    let (scale, exact) = match scale_arg {
-        "tiny" => (Scale::Tiny, true),
-        "small" => (Scale::Small, true),
-        "large" => (Scale::Large, true),
-        "paper" => (Scale::Paper, false),
-        other => {
-            eprintln!("dpm-analyze: unknown scale `{other}` (want tiny|small|large|paper)");
-            return ExitCode::from(2);
-        }
-    };
-    let out_path = args
-        .get(1)
-        .cloned()
-        .unwrap_or_else(|| format!("results/ANALYZE_{scale_arg}.json"));
+    let scale = dpm_apps::scale_arg(Scale::Tiny);
+    // Exact enumeration is affordable below Paper scale.
+    let exact = scale != Scale::Paper;
+    let out_path = args.get(1).cloned().unwrap_or_else(|| {
+        let name = args.first().map_or("tiny", String::as_str);
+        format!("results/ANALYZE_{name}.json")
+    });
     let procs = 4;
 
     let rep = analyze_suite(scale, procs, exact);

@@ -3,7 +3,7 @@
 //!
 //! The pass walks the schedule once (the same order the trace generator
 //! executes), maps every array reference — compiled once per walk
-//! ([`dpm_trace::compile`]) — through the [`LayoutMap`] to page blocks
+//! ([`dpm_core::compile`]) — through the [`LayoutMap`] to page blocks
 //! and striped disk pieces, and derives — *without generating a trace or
 //! running the simulator* —
 //!
@@ -40,12 +40,12 @@
 //! hit-rate but never correctness — see DESIGN §16.
 
 use crate::diag::{DiagCode, Diagnostic, Location};
+use dpm_core::compile::CompiledProgram;
 use dpm_core::{Schedule, SchedulePos};
 use dpm_disksim::{DirectiveConfig, DiskParams, PowerPolicy, RaidConfig};
 use dpm_ir::Program;
 use dpm_layout::LayoutMap;
 use dpm_obs::Json;
-use dpm_trace::compile::CompiledProgram;
 use dpm_trace::TraceGenOptions;
 
 /// One statically predicted idle window of a disk.
@@ -709,8 +709,8 @@ mod tests {
     /// L1 on processor 0 in phase 0, then L2 on processor 1 in phase 1.
     fn two_phase(p: &Program) -> Schedule {
         let mut s = Schedule::new(p, 2, 2);
-        dpm_trace::walk_nest(&p.nests[0], &mut |pt| s.push(0, 0, CompactIter::new(0, pt)));
-        dpm_trace::walk_nest(&p.nests[1], &mut |pt| s.push(1, 1, CompactIter::new(1, pt)));
+        p.nests[0].walk(|pt| s.push(0, 0, CompactIter::new(0, pt)));
+        p.nests[1].walk(|pt| s.push(1, 1, CompactIter::new(1, pt)));
         s
     }
 

@@ -25,11 +25,11 @@
 //! iteration counts) are reported as `E_MALFORMED`.
 
 use crate::diag::{DiagCode, DiagSink, Diagnostic, Location};
+use dpm_core::compile::CompiledProgram;
 use dpm_core::{Directive, DirectiveKind, DirectiveTable, Schedule, SchedulePos};
 use dpm_disksim::DiskParams;
 use dpm_ir::Program;
 use dpm_layout::LayoutMap;
-use dpm_trace::compile::CompiledProgram;
 use dpm_trace::TraceGenOptions;
 
 /// The compute-only timing model both hint passes use: per-(phase,
@@ -506,12 +506,8 @@ mod tests {
         // provably ordered with the whole phase even across processors.
         let (p, layout, _) = fixture();
         let mut s = Schedule::new(&p, 2, 2);
-        dpm_trace::walk_nest(&p.nests[0], &mut |pt| {
-            s.push(0, 0, dpm_core::CompactIter::new(0, pt))
-        });
-        dpm_trace::walk_nest(&p.nests[1], &mut |pt| {
-            s.push(1, 1, dpm_core::CompactIter::new(1, pt))
-        });
+        p.nests[0].walk(|pt| s.push(0, 0, dpm_core::CompactIter::new(0, pt)));
+        p.nests[1].walk(|pt| s.push(1, 1, dpm_core::CompactIter::new(1, pt)));
         let mut t = DirectiveTable::new();
         // Disk 1: spin down at the phase-0 barrier, pre-activate at the
         // phase-1 barrier. Lead = phase 0 floor (20.5 s) ... no: the

@@ -48,7 +48,6 @@
 use crate::diag::{DiagCode, DiagSink, Diagnostic, Location};
 use dpm_core::{CompactIter, DomainIndex, Schedule, SchedulePos};
 use dpm_ir::{CrossDep, DependenceInfo, DistElem, Program};
-use dpm_trace::walk_nest;
 
 fn precedes(a: SchedulePos, b: SchedulePos) -> bool {
     a.phase < b.phase || (a.phase == b.phase && a.proc == b.proc && a.idx < b.idx)
@@ -150,7 +149,7 @@ pub fn verify_schedule(
     // Pass 1b: missing iterations.
     for (ni, nest) in program.nests.iter().enumerate() {
         let mut rank = 0;
-        walk_nest(nest, &mut |pt| {
+        nest.walk(|pt| {
             if pos[ni][rank].is_none() {
                 sink.push(Diagnostic::new(
                     DiagCode::CoverageMissing,
@@ -171,7 +170,7 @@ pub fn verify_schedule(
         // Exact vectors: the source of sink J under distance d is J − d.
         for d in deps.nest_exact_distances(ni) {
             let mut sink_rank = 0;
-            walk_nest(nest, &mut |sink_pt| {
+            nest.walk(|sink_pt| {
                 let pj = pos[sink_rank];
                 sink_rank += 1;
                 let src_pt = &mut buf[..sink_pt.len()];
@@ -213,11 +212,11 @@ pub fn verify_schedule(
         }
         for d in &star_vecs {
             let mut sink_rank = 0;
-            walk_nest(nest, &mut |sink_pt| {
+            nest.walk(|sink_pt| {
                 let pj = pos[sink_rank];
                 sink_rank += 1;
                 let mut src_rank = 0;
-                walk_nest(nest, &mut |src_pt| {
+                nest.walk(|src_pt| {
                     let ps = pos[src_rank];
                     src_rank += 1;
                     // src must match the exact entries and be a true
@@ -273,7 +272,7 @@ pub fn verify_schedule(
             } => {
                 let (si, di) = (*src_nest, *dst_nest);
                 let mut dst_rank = 0;
-                walk_nest(&program.nests[di], &mut |dst_pt| {
+                program.nests[di].walk(|dst_pt| {
                     let pd = pos[di][dst_rank];
                     dst_rank += 1;
                     let src_pt = &mut buf[..map.src_depth()];

@@ -68,6 +68,41 @@ impl Scale {
     }
 }
 
+impl std::str::FromStr for Scale {
+    type Err = String;
+
+    /// Parses a scale name: `tiny`, `small`, `large` or `paper` (`full`
+    /// also selects `paper`).
+    ///
+    /// # Errors
+    ///
+    /// Any other name, with the accepted names.
+    fn from_str(name: &str) -> Result<Scale, String> {
+        match name {
+            "tiny" => Ok(Scale::Tiny),
+            "small" => Ok(Scale::Small),
+            "large" => Ok(Scale::Large),
+            "paper" | "full" => Ok(Scale::Paper),
+            other => Err(format!(
+                "unknown scale `{other}` (want tiny|small|large|paper, or full for paper)"
+            )),
+        }
+    }
+}
+
+/// The scale a command-line bin names in its first argument, or `default`
+/// when there is none. An unknown name prints the accepted names and exits
+/// with status 2, so a typo never runs a default scale.
+pub fn scale_arg(default: Scale) -> Scale {
+    match std::env::args().nth(1) {
+        None => default,
+        Some(name) => name.parse().unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2)
+        }),
+    }
+}
+
 /// One benchmark application: name, paper description, and source text.
 #[derive(Clone, Debug)]
 pub struct BenchApp {
@@ -377,6 +412,24 @@ nest classify {{
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn scale_names_parse() {
+        for (name, scale) in [
+            ("tiny", Scale::Tiny),
+            ("small", Scale::Small),
+            ("large", Scale::Large),
+            ("paper", Scale::Paper),
+            ("full", Scale::Paper),
+        ] {
+            assert_eq!(name.parse::<Scale>(), Ok(scale), "{name}");
+        }
+        let err = "larg".parse::<Scale>().unwrap_err();
+        assert!(
+            err.contains("`larg`") && err.contains("tiny|small|large|paper"),
+            "{err}"
+        );
+    }
 
     #[test]
     fn all_apps_parse_and_validate() {

@@ -81,12 +81,7 @@ fn layout_saving(app: &dpm_apps::BenchApp, striping: Striping) -> String {
 }
 
 fn main() {
-    let scale = match std::env::args().nth(1).as_deref() {
-        Some("paper") => Scale::Paper,
-        Some("large") => Scale::Large,
-        Some("tiny") => Scale::Tiny,
-        _ => Scale::Small,
-    };
+    let scale = dpm_apps::scale_arg(Scale::Small);
     let app_name = std::env::args().nth(2).unwrap_or_else(|| "AST".into());
     let app = dpm_apps::by_name(&app_name, scale).expect("unknown app");
     let program = app.program();

@@ -24,12 +24,7 @@ const RATES: [f64; 4] = [0.0, 0.01, 0.05, 0.20];
 
 fn main() {
     dpm_obs::init_from_env();
-    let scale = match std::env::args().nth(1).as_deref() {
-        Some("paper" | "full") => Scale::Paper,
-        Some("large") => Scale::Large,
-        Some("small") => Scale::Small,
-        _ => Scale::Tiny,
-    };
+    let scale = dpm_apps::scale_arg(Scale::Tiny);
     let cells = || -> Vec<MatrixCell> {
         dpm_apps::suite(scale)
             .into_iter()

@@ -29,12 +29,7 @@ fn energy(res: &AppResults, v: Version) -> f64 {
 fn main() {
     let obs = dpm_obs::init_from_env();
     let collector = obs.then(dpm_obs::install_collector);
-    let scale = match std::env::args().nth(1).as_deref() {
-        Some("large") => Scale::Large,
-        Some("small") => Scale::Small,
-        Some("tiny") => Scale::Tiny,
-        _ => Scale::Paper,
-    };
+    let scale = dpm_apps::scale_arg(Scale::Paper);
     let csv_path = std::env::args().nth(2);
     let config = ExperimentConfig::default();
     let mut csv = String::from("figure,app,version,normalized_energy\n");

@@ -48,12 +48,7 @@ fn main() {
     dpm_obs::init_from_env();
     dpm_obs::enable();
     let collector = dpm_obs::install_collector();
-    let scale = match std::env::args().nth(1).as_deref() {
-        Some("paper") => Scale::Paper,
-        Some("large") => Scale::Large,
-        Some("tiny") => Scale::Tiny,
-        _ => Scale::Small,
-    };
+    let scale = dpm_apps::scale_arg(Scale::Small);
     let apps = match std::env::args().nth(2) {
         Some(name) => vec![dpm_apps::by_name(&name, scale).expect("unknown app")],
         None => dpm_apps::suite(scale),

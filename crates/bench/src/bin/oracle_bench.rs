@@ -126,12 +126,7 @@ fn hit_rate(predicted: u64, actual: u64) -> f64 {
 
 fn main() {
     dpm_obs::init_from_env();
-    let scale = match std::env::args().nth(1).as_deref() {
-        Some("paper") => Scale::Paper,
-        Some("large") => Scale::Large,
-        Some("small") => Scale::Small,
-        _ => Scale::Tiny,
-    };
+    let scale = dpm_apps::scale_arg(Scale::Tiny);
     let striping = dpm_apps::paper_striping();
     let params = DiskParams::default();
     let options = TraceGenOptions {

@@ -17,12 +17,7 @@ use std::time::Instant;
 
 fn main() {
     dpm_obs::init_from_env();
-    let scale = match std::env::args().nth(1).as_deref() {
-        Some("paper") => Scale::Paper,
-        Some("large") => Scale::Large,
-        Some("small") => Scale::Small,
-        _ => Scale::Tiny,
-    };
+    let scale = dpm_apps::scale_arg(Scale::Tiny);
     let cells: Vec<MatrixCell> = dpm_apps::suite(scale)
         .into_iter()
         .map(|app| MatrixCell {

@@ -29,12 +29,7 @@ fn restructured(program: &Program, config: &ExperimentConfig) -> (LayoutMap, Sch
 }
 
 fn main() {
-    let scale = match std::env::args().nth(1).as_deref() {
-        Some("paper") => Scale::Paper,
-        Some("large") => Scale::Large,
-        Some("tiny") => Scale::Tiny,
-        _ => Scale::Small,
-    };
+    let scale = dpm_apps::scale_arg(Scale::Small);
     let a = std::env::args().nth(2).unwrap_or_else(|| "AST".into());
     let b = std::env::args().nth(3).unwrap_or_else(|| "Cholesky".into());
     let config = ExperimentConfig::default();

@@ -7,12 +7,7 @@ use dpm_bench::{run_app, ExperimentConfig, Version};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let scale = match args.get(1).map(|s| s.as_str()) {
-        Some("paper") => Scale::Paper,
-        Some("large") => Scale::Large,
-        Some("tiny") => Scale::Tiny,
-        _ => Scale::Small,
-    };
+    let scale = dpm_apps::scale_arg(Scale::Small);
     let config = ExperimentConfig::default();
     let apps = match args.get(2) {
         Some(name) => vec![dpm_apps::by_name(name, scale).expect("unknown app")],

@@ -26,12 +26,7 @@ const PAPER: [(&str, f64, u64, f64, f64); 6] = [
 fn main() {
     let obs = dpm_obs::init_from_env();
     let collector = obs.then(dpm_obs::install_collector);
-    let scale = match std::env::args().nth(1).as_deref() {
-        Some("large") => Scale::Large,
-        Some("small") => Scale::Small,
-        Some("tiny") => Scale::Tiny,
-        _ => Scale::Paper,
-    };
+    let scale = dpm_apps::scale_arg(Scale::Paper);
     let config = ExperimentConfig::default();
     let mut report = RunReport::new("table2")
         .with_config(&config)

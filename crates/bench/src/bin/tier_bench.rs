@@ -17,12 +17,7 @@ use dpm_bench::{mean, pct, run_tier_suite, TierScenario, TierSweepConfig};
 
 fn main() {
     dpm_obs::init_from_env();
-    let scale = match std::env::args().nth(1).as_deref() {
-        Some("paper") => Scale::Paper,
-        Some("large") => Scale::Large,
-        Some("small") => Scale::Small,
-        _ => Scale::Tiny,
-    };
+    let scale = dpm_apps::scale_arg(Scale::Tiny);
     let config = TierSweepConfig::default();
     println!(
         "tier_bench: suite at {scale:?}, {} fast + {} cold disks, fast tier holds {:.0}% of \

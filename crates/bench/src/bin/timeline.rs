@@ -21,12 +21,7 @@ fn main() {
     dpm_obs::init_from_env();
     dpm_obs::enable();
     let collector = dpm_obs::install_collector();
-    let scale = match std::env::args().nth(1).as_deref() {
-        Some("paper") => Scale::Paper,
-        Some("large") => Scale::Large,
-        Some("tiny") => Scale::Tiny,
-        _ => Scale::Small,
-    };
+    let scale = dpm_apps::scale_arg(Scale::Small);
     let app_name = std::env::args().nth(2).unwrap_or_else(|| "AST".into());
     let app = dpm_apps::by_name(&app_name, scale).expect("unknown app");
     let config = ExperimentConfig::default();

@@ -1,5 +1,5 @@
 //! Dense iteration ranks: a nest's iteration domain compiled once into a
-//! lookup from an iteration point to its position in `walk_nest` order.
+//! lookup from an iteration point to its position in `LoopNest::walk` order.
 //!
 //! The scheduler's predecessor lookups and the exact verifier's position
 //! table both ask "where in its nest is this point, if it is in the nest at
@@ -46,7 +46,7 @@ struct Dim {
 }
 
 /// A nest's iteration domain as a dense rank: [`rank`](Self::rank) maps a
-/// point to its position in `walk_nest` (lexicographic) order, or `None`
+/// point to its position in `LoopNest::walk` (lexicographic) order, or `None`
 /// when the point lies outside the domain.
 ///
 /// # Examples
@@ -125,7 +125,7 @@ impl DomainIndex {
         }
     }
 
-    /// The position of `point` in the nest's `walk_nest` order, or `None`
+    /// The position of `point` in the nest's `LoopNest::walk` order, or `None`
     /// if `point` has the wrong arity or lies outside the domain. O(depth),
     /// allocation-free, and total: any `i64` coordinates are accepted.
     #[inline]
@@ -195,7 +195,7 @@ impl DomainIndex {
     }
 
     /// Moves `point`, which must lie in the domain, to its successor in
-    /// `walk_nest` order. Returns `false` when `point` was the last point,
+    /// `LoopNest::walk` order. Returns `false` when `point` was the last point,
     /// leaving it unspecified. Allocation-free and O(depth) amortized: the
     /// rectangular levels step like an odometer, and an empty row (as in
     /// `for j = i+1 .. N-1`) is skipped once per prefix.
@@ -331,7 +331,7 @@ mod tests {
         dpm_ir::parse_program(&src).unwrap().nests.remove(0)
     }
 
-    /// The k-th `walk_nest` point ranks k, `len` is the trip count, every
+    /// The k-th `LoopNest::walk` point ranks k, `len` is the trip count, every
     /// point one step outside a bound (per level, per walked prefix) ranks
     /// `None`, and so do wrong arities and extreme coordinates.
     fn check(n: &LoopNest) {
@@ -339,7 +339,7 @@ mod tests {
         assert_eq!(index.len() as u64, n.trip_count());
         assert_eq!(index.is_empty(), n.trip_count() == 0);
         let mut k = 0usize;
-        dpm_trace::walk_nest(n, &mut |pt| {
+        n.walk(|pt| {
             assert_eq!(index.rank(pt), Some(k), "point {pt:?}");
             k += 1;
             for level in 0..pt.len() {
@@ -368,12 +368,12 @@ mod tests {
     }
 
     /// `point` inverts `rank`, and stepping from every start rank
-    /// reproduces the rest of `walk_nest`'s order, then stops. A step reads
+    /// reproduces the rest of `LoopNest::walk`'s order, then stops. A step reads
     /// nothing but its point, so one step from every point covers every
     /// start; whole suffixes from a few starts check that steps chain.
     fn check_inverse(n: &LoopNest, index: &DomainIndex) {
         let mut walked = Vec::new();
-        dpm_trace::walk_nest(n, &mut |pt| walked.push(pt.to_vec()));
+        n.walk(|pt| walked.push(pt.to_vec()));
         let mut pt = vec![0i64; n.depth()];
         for (k, p) in walked.iter().enumerate() {
             index.point(k, &mut pt);

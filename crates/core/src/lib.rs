@@ -17,9 +17,9 @@
 //!   with the unification step, so each processor keeps touching the same
 //!   disks across all nests.
 //!
-//! All passes emit a [`Schedule`], which implements
-//! [`dpm_trace::ExecutionOrder`] and [`dpm_trace::StreamOrder`] and feeds
-//! directly into the trace generator and simulator. A schedule stores each
+//! All passes emit a [`Schedule`], the one input the trace generator
+//! (dpm-trace) takes: it walks each processor's sequence with
+//! [`Schedule::iter`]. A schedule stores each
 //! processor's sequence in each phase as runs of consecutive dense ranks
 //! over the nests' [`DomainIndex`]es, which it owns: the untransformed order
 //! is one run per nest, and a restructured one as many runs as the
@@ -43,6 +43,7 @@
 #![warn(missing_docs)]
 
 mod classic;
+pub mod compile;
 mod directives;
 mod domain;
 mod multi;

@@ -17,11 +17,11 @@
 //! (§5) within each processor's per-nest chunk — yielding the paper's
 //! T-…-s and T-…-m code versions.
 
+use crate::compile::CompiledProgram;
 use crate::schedule::{Lane, Schedule};
 use crate::single::cluster_iterations;
 use dpm_ir::{outermost_parallel_loop, ArrayId, DependenceInfo, NestId, Program};
 use dpm_layout::LayoutMap;
-use dpm_trace::compile::CompiledProgram;
 
 /// Which parallelization strategy assigned iterations to processors.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -195,7 +195,7 @@ fn baseline_chunks(
     use std::collections::BTreeMap;
     let mut per_value: BTreeMap<i64, u64> = BTreeMap::new();
     let mut total = 0u64;
-    dpm_trace::walk_nest(nest, &mut |pt| {
+    nest.walk(|pt| {
         *per_value.entry(pt[k]).or_insert(0) += 1;
         total += 1;
     });
@@ -210,7 +210,7 @@ fn baseline_chunks(
     }
     let mut chunks = vec![Lane::default(); num_procs as usize];
     let mut rank = 0;
-    dpm_trace::walk_nest(nest, &mut |pt| {
+    nest.walk(|pt| {
         let owner = owner_of[&pt[k]];
         chunks[owner as usize].push(ni, rank..rank + 1);
         rank += 1;
@@ -293,7 +293,7 @@ fn region_chunks(
     let num_disks = striping.num_disks();
     let mut chunks = vec![Lane::default(); num_procs as usize];
     let mut rank = 0;
-    dpm_trace::walk_nest(&program.nests[ni], &mut |pt| {
+    program.nests[ni].walk(|pt| {
         let disk = striping.disk_of_offset(rep.offset(program, layout, pt));
         let owner = disk_group_owner(disk, num_disks, num_procs);
         chunks[owner as usize].push(ni, rank..rank + 1);

@@ -3,12 +3,11 @@
 //! phases, stored as runs of dense ranks — plus the disk-reuse metrics used
 //! to evaluate clustering.
 
+use crate::compile::CompiledProgram;
 use crate::directives::SchedulePos;
 use crate::domain::DomainIndex;
 use dpm_ir::{NestId, Program};
 use dpm_layout::LayoutMap;
-use dpm_trace::compile::CompiledProgram;
-use dpm_trace::ExecutionOrder;
 use std::ops::Range;
 
 /// A compact scheduled iteration: nest id plus up to
@@ -148,8 +147,8 @@ impl Lane {
 /// last run when it can), so `==` holds exactly when two schedules over
 /// the same domains issue the same sequence.
 ///
-/// Implements [`ExecutionOrder`] and [`StreamOrder`](dpm_trace::StreamOrder),
-/// so it can be fed straight into the trace generator.
+/// The trace generator (dpm-trace) takes a schedule as its input and walks
+/// each `(phase, proc)` sequence with [`iter`](Self::iter).
 ///
 /// # Examples
 ///
@@ -249,7 +248,8 @@ impl Schedule {
     }
 
     /// Appends the iterations of ranks `ranks` of nest `nest` (positions
-    /// in its `walk_nest` order) to `(phase, proc)`.
+    /// in its [`LoopNest::walk`](dpm_ir::LoopNest::walk) order) to
+    /// `(phase, proc)`.
     ///
     /// # Panics
     ///
@@ -401,7 +401,7 @@ impl Schedule {
         for (ni, nest) in program.nests.iter().enumerate() {
             let mut err = None;
             let mut rank = 0;
-            dpm_trace::walk_nest(nest, &mut |pt| {
+            nest.walk(|pt| {
                 let n = counts[ni][rank];
                 rank += 1;
                 if err.is_some() {
@@ -432,8 +432,10 @@ impl Schedule {
 /// A walk over one `(phase, proc)` sequence: each run's first point is
 /// unranked, and the rest are reached by incrementing the innermost
 /// coordinate up to its row's end, then [`DomainIndex::step`] into the
-/// next row. Yields [`CompactIter`]s by value ([`Schedule::iter`]) and
-/// also serves as the trace generator's cursor.
+/// next row. Yields [`CompactIter`]s by value as an [`Iterator`], or
+/// borrows each point's coordinates through
+/// [`next_point`](Self::next_point), which is how the trace generator
+/// pulls them.
 #[derive(Clone, Debug)]
 pub struct ScheduleIter<'a> {
     domains: &'a [DomainIndex],
@@ -501,6 +503,15 @@ impl ScheduleIter<'_> {
     pub(crate) fn coords(&self) -> &[i64] {
         &self.point[..self.depth]
     }
+
+    /// Moves to the next iteration and returns its nest and coordinates,
+    /// borrowed until the next call, or `None` once the sequence is
+    /// exhausted.
+    #[inline]
+    pub fn next_point(&mut self) -> Option<(NestId, &[i64])> {
+        let (nest, _) = self.advance()?;
+        Some((nest, self.coords()))
+    }
 }
 
 impl Iterator for ScheduleIter<'_> {
@@ -513,43 +524,11 @@ impl Iterator for ScheduleIter<'_> {
     }
 }
 
-impl dpm_trace::IterCursor for ScheduleIter<'_> {
-    fn next(&mut self, point: &mut Vec<i64>) -> Option<NestId> {
-        let (nest, _) = self.advance()?;
-        point.clear();
-        point.extend_from_slice(self.coords());
-        Some(nest)
-    }
-}
-
-impl ExecutionOrder for Schedule {
-    fn num_procs(&self) -> u32 {
-        self.num_procs
-    }
-
-    fn num_phases(&self) -> usize {
-        self.phases.len()
-    }
-
-    fn for_each_in_phase(&self, phase: usize, proc: u32, f: &mut dyn FnMut(NestId, &[i64])) {
-        let mut walk = self.iter(phase, proc);
-        while let Some((nest, _)) = walk.advance() {
-            f(nest, walk.coords());
-        }
-    }
-}
-
-impl dpm_trace::StreamOrder for Schedule {
-    fn cursor(&self, phase: usize, proc: u32) -> Box<dyn dpm_trace::IterCursor + '_> {
-        Box::new(self.iter(phase, proc))
-    }
-}
-
 /// The set of disks an iteration touches, as a bitmask (bit `d` set ⇔ the
 /// iteration accesses a byte on disk `d`), evaluated through the IR.
 /// Supports up to 64 disks. The passes compute the same mask from a
-/// [`CompiledProgram`](dpm_trace::compile::CompiledProgram); this form is
-/// the reference the compiled one is tested against.
+/// [`CompiledProgram`]; this form is the reference the compiled one is
+/// tested against.
 pub fn iteration_disk_mask(
     program: &Program,
     layout: &LayoutMap,
@@ -633,7 +612,7 @@ mod tests {
     fn schedule_covers_original_order() {
         let p = prog();
         let mut iters = Vec::new();
-        dpm_trace::walk_nest(&p.nests[0], &mut |pt| iters.push(CompactIter::new(0, pt)));
+        p.nests[0].walk(|pt| iters.push(CompactIter::new(0, pt)));
         let s = Schedule::single(&p, iters);
         assert!(s.validate_coverage(&p).is_ok());
         assert_eq!(s.total_iterations(), 64 * 8);
@@ -644,7 +623,7 @@ mod tests {
     fn validate_detects_missing_and_duplicate() {
         let p = prog();
         let mut iters = Vec::new();
-        dpm_trace::walk_nest(&p.nests[0], &mut |pt| iters.push(CompactIter::new(0, pt)));
+        p.nests[0].walk(|pt| iters.push(CompactIter::new(0, pt)));
         let mut missing = iters.clone();
         let last = missing.pop().unwrap();
         assert_eq!(
@@ -684,32 +663,6 @@ mod tests {
         Schedule::new(&p, 1, 1).push(0, 0, CompactIter::new(0, &[64, 0]));
     }
 
-    /// A multi-processor, multi-phase schedule streamed through
-    /// `TraceGenerator::stream` yields the batch path's trace and stats
-    /// bit for bit — the hardest merge case (cross-processor arrival ties
-    /// at every barrier).
-    #[test]
-    fn streamed_schedule_matches_batch_generation() {
-        let p = prog();
-        let mut s = Schedule::new(&p, 2, 2);
-        dpm_trace::walk_nest(&p.nests[0], &mut |pt| {
-            let phase = usize::from(pt[0] >= 32);
-            let proc = (pt[0] % 2) as u32;
-            s.push(phase, proc, CompactIter::new(0, pt));
-        });
-        let layout = LayoutMap::new(&p, Striping::new(512, 4, 0));
-        let generator =
-            dpm_trace::TraceGenerator::new(&p, &layout, dpm_trace::TraceGenOptions::default());
-        let (trace, stats) = generator.generate(&s);
-        let mut stream = generator.stream(&s);
-        let mut streamed = Vec::new();
-        while let Some(r) = dpm_trace::RequestStream::next_request(&mut stream) {
-            streamed.push(r);
-        }
-        assert_eq!(streamed, trace.requests());
-        assert_eq!(stream.stats(), stats);
-    }
-
     #[test]
     fn disk_mask_and_run_length() {
         let p = prog();
@@ -723,15 +676,5 @@ mod tests {
         // rows-per-disk = 8 disk changes over 512 iterations.
         let r = mean_disk_run_length(&p, &layout, &s);
         assert!((r - 64.0).abs() < 1e-9, "run length {r}");
-    }
-
-    #[test]
-    fn execution_order_streams_in_schedule_order() {
-        let p = prog();
-        let its = vec![CompactIter::new(0, &[5, 0]), CompactIter::new(0, &[1, 1])];
-        let s = Schedule::single(&p, its);
-        let mut seen = Vec::new();
-        s.for_each_in_phase(0, 0, &mut |n, pt| seen.push((n, pt.to_vec())));
-        assert_eq!(seen, vec![(0, vec![5, 0]), (0, vec![1, 1])]);
     }
 }

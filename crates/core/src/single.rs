@@ -10,11 +10,11 @@
 //! (Figure 4). Dependence-free programs finish in a single round with each
 //! disk visited once — the perfect disk reuse of Figure 2(c).
 
+use crate::compile::CompiledProgram;
 use crate::domain::DomainIndex;
 use crate::schedule::{CompactIter, Lane, Schedule};
 use dpm_ir::{CrossDep, DependenceInfo, NestId, Program};
 use dpm_layout::LayoutMap;
-use dpm_trace::compile::CompiledProgram;
 
 /// Per-nest bookkeeping for the scheduler.
 struct NestTable {
@@ -437,7 +437,7 @@ fn build_tables(program: &Program, deps: &DependenceInfo) -> Vec<NestTable> {
     let mut base = 0usize;
     for (ni, nest) in program.nests.iter().enumerate() {
         let mut iters = Vec::new();
-        dpm_trace::walk_nest(nest, &mut |pt| iters.push(CompactIter::new(ni, pt)));
+        nest.walk(|pt| iters.push(CompactIter::new(ni, pt)));
         let mut exact_preds = Vec::new();
         let mut barrier_preds = Vec::new();
         for c in &deps.cross {

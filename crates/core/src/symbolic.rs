@@ -238,8 +238,8 @@ fn qd_polyhedron(
 /// iteration space (each iteration appears beneath exactly one disk, with
 /// exactly one witness `t`).
 ///
-/// This is the affinity-footprint form of Figure 3's `Q_d`, the input both
-/// to the `SetOrder` trace-generation path and to the closed-form
+/// This is the affinity-footprint form of Figure 3's `Q_d`, the input to
+/// the static verifier's partition proof and to the closed-form
 /// `count_points` footprint queries.
 ///
 /// # Errors

@@ -1,7 +1,8 @@
 //! Schedules stored as runs of dense ranks, checked against a plain model:
 //! a `Vec<(phase, proc, CompactIter)>` in push order. Every walk of the
-//! run form (positions, per-lane lengths, the trace generator's batch and
-//! streamed orders) must yield exactly the model's sequence, and pushing
+//! run form (positions, per-lane lengths, the by-value iterator and the
+//! borrowed `next_point` pull the trace generator uses) must yield exactly
+//! the model's sequence, and pushing
 //! one sequence point by point or as pre-split runs must give `==`
 //! schedules.
 
@@ -9,7 +10,6 @@ use dpm_apps::Scale;
 use dpm_core::{original_schedule, CompactIter, Schedule, SchedulePos};
 use dpm_ir::Program;
 use dpm_obs::XorShift64Star;
-use dpm_trace::{ExecutionOrder, StreamOrder};
 
 type Model = Vec<(usize, u32, CompactIter)>;
 
@@ -92,16 +92,16 @@ fn check_against_model(s: &Schedule, model: &Model) {
                 .iter()
                 .map(|it| (it.nest as usize, it.coords()))
                 .collect();
-            let mut batch = Vec::new();
-            s.for_each_in_phase(phase, proc, &mut |ni, pt| batch.push((ni, pt.to_vec())));
-            assert_eq!(batch, pairs, "ExecutionOrder ({phase}, {proc})");
-            let mut cursor = s.cursor(phase, proc);
-            let mut streamed = Vec::new();
-            let mut pt = Vec::new();
-            while let Some(ni) = cursor.next(&mut pt) {
-                streamed.push((ni, pt.clone()));
+            let mut walk = s.iter(phase, proc);
+            let mut pulled = Vec::new();
+            while let Some((ni, pt)) = walk.next_point() {
+                pulled.push((ni, pt.to_vec()));
             }
-            assert_eq!(streamed, pairs, "StreamOrder ({phase}, {proc})");
+            assert_eq!(pulled, pairs, "next_point ({phase}, {proc})");
+            assert!(
+                walk.next_point().is_none(),
+                "an exhausted walk stays exhausted"
+            );
             expected.extend(
                 (0u32..)
                     .zip(want)
@@ -125,7 +125,7 @@ fn random_run_schedules_walk_like_the_plain_model() {
             .iter()
             .map(|n| {
                 let mut pts = Vec::new();
-                dpm_trace::walk_nest(n, &mut |pt| pts.push(pt.to_vec()));
+                n.walk(|pt| pts.push(pt.to_vec()));
                 pts
             })
             .collect();
@@ -175,7 +175,7 @@ fn schedules_differ_exactly_when_sequences_do() {
 
 /// A run that starts anywhere and crosses rows (empty ones included:
 /// leading, trailing and inside a non-empty parent) walks like
-/// `walk_nest`.
+/// `LoopNest::walk`.
 #[test]
 fn runs_walk_across_empty_rows() {
     let p = dpm_ir::parse_program(
@@ -187,7 +187,7 @@ fn runs_walk_across_empty_rows() {
     .unwrap();
     for (ni, nest) in p.nests.iter().enumerate() {
         let mut walked = Vec::new();
-        dpm_trace::walk_nest(nest, &mut |pt| walked.push(CompactIter::new(ni, pt)));
+        nest.walk(|pt| walked.push(CompactIter::new(ni, pt)));
         for start in 0..walked.len() {
             for end in start + 1..=walked.len() {
                 let mut s = Schedule::new(&p, 1, 1);

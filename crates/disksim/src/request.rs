@@ -19,11 +19,6 @@ pub enum RequestKind {
 }
 
 impl RequestKind {
-    /// Whether this is a write.
-    pub fn is_write(self) -> bool {
-        self == RequestKind::Write
-    }
-
     fn letter(self) -> char {
         match self {
             RequestKind::Read => 'R',

@@ -331,29 +331,39 @@ impl LoopNest {
         p
     }
 
-    /// Enumerates the iteration points in original (lexicographic) order.
+    /// Visits the iteration points in original (lexicographic) order
+    /// without materializing them.
     ///
     /// # Panics
     ///
     /// Panics if a bound references an inner variable (malformed nest).
-    pub fn iterations(&self) -> Vec<Vec<i64>> {
-        let mut out = Vec::new();
+    pub fn walk(&self, mut f: impl FnMut(&[i64])) {
+        fn rec(nest: &LoopNest, level: usize, point: &mut [i64], f: &mut impl FnMut(&[i64])) {
+            if level == nest.depth() {
+                f(point);
+                return;
+            }
+            let lo = nest.loops[level].lo.eval_prefix(&point[..level]);
+            let hi = nest.loops[level].hi.eval_prefix(&point[..level]);
+            for x in lo..=hi {
+                point[level] = x;
+                rec(nest, level + 1, point, f);
+            }
+        }
         let mut point = vec![0i64; self.depth()];
-        self.iter_rec(0, &mut point, &mut out);
-        out
+        rec(self, 0, &mut point, &mut f);
     }
 
-    fn iter_rec(&self, level: usize, point: &mut Vec<i64>, out: &mut Vec<Vec<i64>>) {
-        if level == self.depth() {
-            out.push(point.clone());
-            return;
-        }
-        let lo = self.loops[level].lo.eval_prefix(&point[..level]);
-        let hi = self.loops[level].hi.eval_prefix(&point[..level]);
-        for x in lo..=hi {
-            point[level] = x;
-            self.iter_rec(level + 1, point, out);
-        }
+    /// The iteration points in original (lexicographic) order, collected
+    /// from [`walk`](Self::walk).
+    ///
+    /// # Panics
+    ///
+    /// As [`walk`](Self::walk).
+    pub fn iterations(&self) -> Vec<Vec<i64>> {
+        let mut out = Vec::new();
+        self.walk(|pt| out.push(pt.to_vec()));
+        out
     }
 
     /// Number of iterations (product of trip counts for rectangular nests;

@@ -8,6 +8,11 @@
 //! rational bounds cannot express exactly become integer *guards* evaluated
 //! in the innermost body, so the generated nest enumerates exactly the
 //! integer points of the input.
+//!
+//! A nest runs its points through a callback ([`ScanNest::execute`]); there
+//! is no pull cursor. A consumer that needs a lazy order, such as the trace
+//! generator, executes the pieces into a `dpm_core::Schedule` once and
+//! walks that.
 
 use crate::expr::{ceil_div, floor_div, LinExpr};
 use crate::polyhedron::Polyhedron;
@@ -203,14 +208,6 @@ impl ScanNest {
         n
     }
 
-    /// A resumable cursor over the nest's points: the same points as
-    /// [`execute`](Self::execute), in the same lexicographic order, pulled
-    /// one at a time with O(depth) state. The cursor owns a clone of the
-    /// nest so it can outlive the borrow it was created from.
-    pub fn cursor(&self) -> ScanCursor {
-        ScanCursor::new(self.clone())
-    }
-
     /// Pretty-prints the nest as pseudo-code with the given variable names
     /// and a body placeholder.
     ///
@@ -310,115 +307,6 @@ impl fmt::Display for ScanNest {
     }
 }
 
-/// Pull-based odometer over a [`ScanNest`]: yields exactly the points of
-/// [`ScanNest::execute`], in the same lexicographic order, one
-/// [`next_point`](Self::next_point) call at a time.
-///
-/// State is one coordinate plus one cached upper bound per level, so a
-/// cursor over a billion-point nest costs the same as one over ten points —
-/// this is what lets trace generation stream symbolic schedules without
-/// materializing the iteration space.
-///
-/// # Examples
-///
-/// ```
-/// use dpm_poly::{Polyhedron, ScanNest};
-/// let p = Polyhedron::universe(2).with_range(0, 0, 2).with_range(1, 0, 1);
-/// let nest = ScanNest::build(&p);
-/// let mut eager = Vec::new();
-/// nest.execute(|pt| eager.push(pt.to_vec()));
-/// let mut cursor = nest.cursor();
-/// let mut lazy = Vec::new();
-/// while let Some(pt) = cursor.next_point() {
-///     lazy.push(pt.to_vec());
-/// }
-/// assert_eq!(eager, lazy);
-/// ```
-#[derive(Clone, Debug)]
-pub struct ScanCursor {
-    nest: ScanNest,
-    point: Vec<i64>,
-    /// Upper bound cached when each level was entered (bounds depend only
-    /// on the outer prefix, which is fixed for the duration of the entry).
-    his: Vec<i64>,
-    started: bool,
-    done: bool,
-}
-
-impl ScanCursor {
-    fn new(nest: ScanNest) -> ScanCursor {
-        let dim = nest.dim;
-        let done = nest.empty;
-        ScanCursor {
-            nest,
-            point: vec![0; dim],
-            his: vec![0; dim],
-            started: false,
-            done,
-        }
-    }
-
-    /// Advances to the next point and returns it, or `None` once the nest
-    /// is exhausted (and forever after).
-    pub fn next_point(&mut self) -> Option<&[i64]> {
-        if self.done {
-            return None;
-        }
-        let dim = self.nest.dim;
-        if dim == 0 {
-            // A non-empty zero-dimensional nest scans the single empty
-            // tuple, exactly as `execute` does.
-            self.done = true;
-            return Some(&self.point[..0]);
-        }
-        // `entering` means level's bounds have not been evaluated yet for
-        // the current outer prefix; otherwise we advance its value.
-        let (mut level, mut entering) = if self.started {
-            (dim - 1, false)
-        } else {
-            self.started = true;
-            (0, true)
-        };
-        loop {
-            if entering {
-                let (lo, hi) = self.nest.loops[level].range_at(&self.point[..level]);
-                if lo > hi {
-                    // Empty range: backtrack to the next outer value.
-                    if level == 0 {
-                        self.done = true;
-                        return None;
-                    }
-                    level -= 1;
-                    entering = false;
-                    continue;
-                }
-                self.point[level] = lo;
-                self.his[level] = hi;
-            } else {
-                if self.point[level] >= self.his[level] {
-                    if level == 0 {
-                        self.done = true;
-                        return None;
-                    }
-                    level -= 1;
-                    continue;
-                }
-                self.point[level] += 1;
-            }
-            if level + 1 == dim {
-                if self.nest.guards.contains(&self.point) {
-                    return Some(&self.point);
-                }
-                // Guard rejected this innermost value; try the next one.
-                entering = false;
-            } else {
-                level += 1;
-                entering = true;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -507,69 +395,5 @@ mod tests {
         let mut is = Vec::new();
         nest.execute(|pt| is.push(pt[1]));
         assert_eq!(is, vec![4, 5, 6, 7, 12, 13, 14, 15]);
-    }
-
-    /// Pulls every point out of `nest.cursor()` and checks the sequence is
-    /// identical to what `execute` visits.
-    fn assert_cursor_matches(nest: &ScanNest) {
-        let mut eager = Vec::new();
-        nest.execute(|pt| eager.push(pt.to_vec()));
-        let mut cursor = nest.cursor();
-        let mut lazy = Vec::new();
-        while let Some(pt) = cursor.next_point() {
-            lazy.push(pt.to_vec());
-        }
-        assert_eq!(eager, lazy);
-        assert!(
-            cursor.next_point().is_none(),
-            "exhausted cursor must stay exhausted"
-        );
-    }
-
-    #[test]
-    fn cursor_matches_execute_rectangle_and_triangle() {
-        assert_cursor_matches(&ScanNest::build(
-            &Polyhedron::universe(2)
-                .with_range(0, 0, 4)
-                .with_range(1, -2, 2),
-        ));
-        assert_cursor_matches(&ScanNest::build(
-            &Polyhedron::universe(2)
-                .with_range(0, 0, 7)
-                .with_range(1, 0, 7)
-                .with(Constraint::geq_zero(
-                    LinExpr::var(2, 0).minus(&LinExpr::var(2, 1)),
-                )),
-        ));
-    }
-
-    #[test]
-    fn cursor_matches_execute_with_guards_and_holes() {
-        // Stripe-shaped inner ranges leave empty inner loops for some
-        // outer values; the cursor must backtrack through them.
-        let q = LinExpr::var(2, 0);
-        let i = LinExpr::var(2, 1);
-        let base = q.scaled(8).plus_const(4);
-        let p = Polyhedron::universe(2)
-            .with_range(0, 0, 1)
-            .with_range(1, 0, 15)
-            .with(Constraint::geq(&i, &base))
-            .with(Constraint::leq(&i, &base.plus_const(3)));
-        assert_cursor_matches(&ScanNest::build(&p));
-        // { x | 1 <= 2x <= 9 }: scaled bounds exercise ceil/floor.
-        let scaled = Polyhedron::universe(1)
-            .with(Constraint::geq_zero(LinExpr::from_parts(vec![2], -1)))
-            .with(Constraint::geq_zero(LinExpr::from_parts(vec![-2], 9)));
-        assert_cursor_matches(&ScanNest::build(&scaled));
-    }
-
-    #[test]
-    fn cursor_on_empty_and_zero_dim_nests() {
-        let empty = ScanNest::build(&Polyhedron::universe(1).with_range(0, 5, 2));
-        assert!(empty.cursor().next_point().is_none());
-        let zero = ScanNest::build(&Polyhedron::universe(0));
-        let mut c = zero.cursor();
-        assert_eq!(c.next_point(), Some(&[][..]));
-        assert!(c.next_point().is_none());
     }
 }

@@ -10,7 +10,9 @@
 //! The restructuring compiler (`dpm-core`) uses this crate to build per-disk
 //! iteration sets `Q_d`, compute `Q − Q_d` as the algorithm of the paper's
 //! Figure 3 requires, and to regenerate loop nests that enumerate each set
-//! (the paper's Figure 2(c) output).
+//! (the paper's Figure 2(c) output). A generated [`ScanNest`] runs its
+//! points through [`ScanNest::execute`]; it has no cursor, because the
+//! trace generator walks `dpm_core::Schedule`s, not polyhedra.
 //!
 //! ## Example
 //!
@@ -42,9 +44,9 @@ mod map;
 mod polyhedron;
 mod set;
 
-pub use codegen::{BoundTerm, ScanCursor, ScanLoop, ScanNest, ScanProgram};
+pub use codegen::{BoundTerm, ScanLoop, ScanNest, ScanProgram};
 pub use constraint::{Constraint, Relation};
 pub use expr::{ceil_div, floor_div, gcd, LinExpr};
 pub use map::AffineMap;
 pub use polyhedron::Polyhedron;
-pub use set::{Set, SetCursor};
+pub use set::Set;

@@ -261,22 +261,6 @@ impl Set {
         n
     }
 
-    /// A pull-based cursor over the set's points: exactly the points of
-    /// [`points_into`](Self::points_into) — distinct, lexicographically
-    /// sorted — streamed one at a time without ever materializing them.
-    ///
-    /// Each disjunct gets a lazy [`crate::ScanCursor`] (which yields its
-    /// points in lexicographic order); a point is owned by the first
-    /// disjunct containing it, and the per-disjunct streams are k-way
-    /// merged. For a single disjunct this is a zero-copy pass-through.
-    ///
-    /// # Panics
-    ///
-    /// [`SetCursor::next_point`] panics if any disjunct is unbounded.
-    pub fn cursor(&self) -> SetCursor<'_> {
-        SetCursor::new(self)
-    }
-
     /// All distinct points, sorted lexicographically.
     ///
     /// # Panics
@@ -380,125 +364,6 @@ impl fmt::Debug for Set {
         let names: Vec<String> = (0..self.dim).map(|i| format!("x{i}")).collect();
         let refs: Vec<&str> = names.iter().map(|s| s.as_str()).collect();
         write!(f, "{}", self.display_with(&refs))
-    }
-}
-
-/// Streaming counterpart of [`Set::points_into`]: yields the set's
-/// distinct points in lexicographic order, one at a time, in O(parts ×
-/// depth) state. Created by [`Set::cursor`].
-pub struct SetCursor<'a> {
-    set: &'a Set,
-    state: CursorState,
-}
-
-enum CursorState {
-    /// Lazily initialized on the first pull so constructing a cursor is
-    /// cheap even for sets that are never read.
-    Unstarted,
-    /// Zero-dimensional sets yield at most one (empty) point.
-    ZeroDim { yielded: bool },
-    /// Single disjunct: a lex scan is already sorted and duplicate-free,
-    /// so the inner cursor's slice passes straight through, zero-copy.
-    /// Boxed to keep the enum small next to the stateless variants.
-    Single(Box<crate::ScanCursor>),
-    /// General case: k-way merge of per-disjunct lex streams, each point
-    /// owned by the first disjunct containing it.
-    Merge {
-        streams: Vec<PartStream>,
-        /// The most recently yielded point (the merge output buffer).
-        current: Vec<i64>,
-    },
-}
-
-/// One disjunct's lex stream plus its buffered, already-deduplicated head.
-struct PartStream {
-    cursor: crate::ScanCursor,
-    head: Option<Vec<i64>>,
-}
-
-impl<'a> SetCursor<'a> {
-    fn new(set: &'a Set) -> SetCursor<'a> {
-        SetCursor {
-            set,
-            state: CursorState::Unstarted,
-        }
-    }
-
-    /// Pulls a disjunct's next point that is *not* contained in an earlier
-    /// disjunct (a point is owned by the first disjunct containing it —
-    /// the same rule [`Set::enumerate`] applies).
-    fn refill(parts: &[Polyhedron], idx: usize, s: &mut PartStream) {
-        s.head = None;
-        while let Some(pt) = s.cursor.next_point() {
-            if !parts[..idx].iter().any(|q| q.contains(pt)) {
-                s.head = Some(pt.to_vec());
-                return;
-            }
-        }
-    }
-
-    fn start(&mut self) {
-        let parts = &self.set.parts;
-        self.state = if self.set.dim == 0 {
-            CursorState::ZeroDim { yielded: false }
-        } else if parts.len() == 1 {
-            CursorState::Single(Box::new(crate::ScanNest::build(&parts[0]).cursor()))
-        } else {
-            let mut streams: Vec<PartStream> = parts
-                .iter()
-                .map(|p| PartStream {
-                    cursor: crate::ScanNest::build(p).cursor(),
-                    head: None,
-                })
-                .collect();
-            for (i, s) in streams.iter_mut().enumerate() {
-                Self::refill(parts, i, s);
-            }
-            CursorState::Merge {
-                streams,
-                current: Vec::new(),
-            }
-        };
-    }
-
-    /// Advances to the next point and returns it, or `None` once the set
-    /// is exhausted (and forever after).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any disjunct is unbounded.
-    pub fn next_point(&mut self) -> Option<&[i64]> {
-        if matches!(self.state, CursorState::Unstarted) {
-            self.start();
-        }
-        match &mut self.state {
-            CursorState::Unstarted => unreachable!("started above"),
-            CursorState::ZeroDim { yielded } => {
-                // Match `points_into`: one empty tuple iff any part is
-                // non-empty at dimension zero.
-                if !*yielded && self.set.parts.iter().any(|p| p.contains(&[])) {
-                    *yielded = true;
-                    Some(&[])
-                } else {
-                    None
-                }
-            }
-            CursorState::Single(cursor) => cursor.next_point(),
-            CursorState::Merge { streams, current } => {
-                // Ownership dedup makes the heads pairwise distinct, so
-                // the merge needs no tie-break: take the lexicographic
-                // minimum head.
-                let min = streams
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, s)| s.head.as_deref().map(|h| (i, h)))
-                    .min_by(|(_, a), (_, b)| a.cmp(b))
-                    .map(|(i, _)| i)?;
-                *current = streams[min].head.take().expect("head checked above");
-                Self::refill(&self.set.parts, min, &mut streams[min]);
-                Some(current)
-            }
-        }
     }
 }
 
@@ -640,55 +505,5 @@ mod tests {
         // Overlapping parts still agree with the enumerated baseline.
         let o = interval(0, 5).union(&interval(3, 8));
         assert_eq!(o.count_points(), o.count_points_enumerated());
-    }
-
-    /// Streams `s.cursor()` dry and checks it yields exactly the flat
-    /// buffer `points_into` produces, in the same order.
-    fn assert_cursor_matches(s: &Set) {
-        let mut buf = Vec::new();
-        let n = s.points_into(&mut buf);
-        let mut cursor = s.cursor();
-        let mut streamed = Vec::new();
-        let mut count = 0;
-        while let Some(pt) = cursor.next_point() {
-            streamed.extend_from_slice(pt);
-            count += 1;
-        }
-        assert_eq!(count, n);
-        assert_eq!(streamed, buf);
-        assert!(
-            cursor.next_point().is_none(),
-            "exhausted cursor must stay exhausted"
-        );
-    }
-
-    #[test]
-    fn cursor_matches_points_into() {
-        // Single part (zero-copy path).
-        assert_cursor_matches(&Set::from(
-            Polyhedron::universe(2)
-                .with_range(0, 0, 3)
-                .with_range(1, 0, 2),
-        ));
-        // Overlapping parts (merge + ownership dedup).
-        assert_cursor_matches(&interval(0, 5).union(&interval(3, 8)));
-        // Disjoint out-of-order parts: the merge must interleave.
-        assert_cursor_matches(&interval(10, 15).union(&interval(0, 5)));
-        // Empty set.
-        assert_cursor_matches(&Set::empty(2));
-        // Two-dimensional overlap, where dedup and lex merge interact.
-        let a = Polyhedron::universe(2)
-            .with_range(0, 0, 2)
-            .with_range(1, 0, 2);
-        let b = Polyhedron::universe(2)
-            .with_range(0, 1, 3)
-            .with_range(1, 1, 3);
-        assert_cursor_matches(&Set::from(a).union(&Set::from(b)));
-    }
-
-    #[test]
-    fn cursor_zero_dim() {
-        assert_cursor_matches(&Set::universe(0));
-        assert_cursor_matches(&Set::empty(0));
     }
 }

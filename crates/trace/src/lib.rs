@@ -1,8 +1,12 @@
 //! # dpm-trace — compiler-side I/O trace generation
 //!
-//! Executes a loop-nest `Program` (in original or
-//! compiler-restructured order, on one or several processors) and produces
-//! the disk I/O request trace that the paper's simulator consumes (§7.1).
+//! Executes a loop-nest `Program` in the order a [`Schedule`] gives
+//! (original or compiler-restructured, on one or several processors) and
+//! produces the disk I/O request trace that the paper's simulator consumes
+//! (§7.1). Every code version the paper evaluates is a `Schedule`, so that
+//! is the one input [`TraceGenerator::generate`] and
+//! [`TraceGenerator::stream`] take; each walks a processor's iterations
+//! with [`Schedule::iter`].
 //!
 //! The model:
 //!
@@ -19,7 +23,7 @@
 //!   requests in a real system.
 //!
 //! ```
-//! use dpm_trace::{TraceGenerator, TraceGenOptions, OriginalOrder};
+//! use dpm_trace::{TraceGenerator, TraceGenOptions};
 //! use dpm_layout::{LayoutMap, Striping};
 //!
 //! let p = dpm_ir::parse_program(
@@ -28,7 +32,7 @@
 //! ).unwrap();
 //! let layout = LayoutMap::new(&p, Striping::new(4096, 4, 0));
 //! let gen = TraceGenerator::new(&p, &layout, TraceGenOptions::default());
-//! let (trace, stats) = gen.generate(&OriginalOrder::new(&p));
+//! let (trace, stats) = gen.generate(&dpm_core::original_schedule(&p));
 //! assert!(trace.len() > 0);
 //! assert_eq!(stats.element_accesses, 2 * 512 * 64);
 //! ```
@@ -36,21 +40,21 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use compile::CompiledProgram;
+use dpm_core::compile::CompiledProgram;
+use dpm_core::Schedule;
 use dpm_disksim::{DiskParams, IoRequest, RequestKind, SequentialStreams, ServiceTime, Trace};
-use dpm_ir::{NestId, Program};
+use dpm_ir::{AccessKind, NestId, Program};
 use dpm_layout::LayoutMap;
 use dpm_obs::XorShift64Star;
 use window::ReuseWindow;
 
 mod codec;
-pub mod compile;
 mod stream;
 mod window;
 
 pub use codec::{TraceReader, TraceWriter, TRACE_MAGIC};
 pub use dpm_disksim::RequestStream;
-pub use stream::{GenStream, IterCursor, NestCursor, StreamOrder};
+pub use stream::GenStream;
 
 /// Options controlling trace generation.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -144,151 +148,12 @@ impl TraceStats {
     }
 }
 
-/// An execution order: which iterations run on which processor, in what
-/// sequence. Implemented by the original program order here and by the
-/// restructurer's schedules in `dpm-core`.
-///
-/// Execution proceeds in *phases* separated by barriers: within a phase
-/// each processor runs its iteration stream independently; at a phase
-/// boundary all processors synchronize (their virtual clocks advance to
-/// the laggard's). Single-processor orders normally use one phase;
-/// multi-processor parallelizations use one phase per loop nest.
-pub trait ExecutionOrder {
-    /// Number of processors.
-    fn num_procs(&self) -> u32;
-    /// Number of barrier-separated phases (default 1).
-    fn num_phases(&self) -> usize {
-        1
-    }
-    /// Streams `(nest, iteration)` pairs of processor `proc` within
-    /// `phase`, in execution order.
-    fn for_each_in_phase(&self, phase: usize, proc: u32, f: &mut dyn FnMut(NestId, &[i64]));
-}
-
-/// The untransformed order: one processor, nests in program order,
-/// iterations lexicographic.
-#[derive(Debug)]
-pub struct OriginalOrder<'p> {
-    program: &'p Program,
-}
-
-impl<'p> OriginalOrder<'p> {
-    /// Wraps a program.
-    pub fn new(program: &'p Program) -> Self {
-        OriginalOrder { program }
-    }
-}
-
-impl ExecutionOrder for OriginalOrder<'_> {
-    fn num_procs(&self) -> u32 {
-        1
-    }
-
-    fn for_each_in_phase(&self, phase: usize, proc: u32, f: &mut dyn FnMut(NestId, &[i64])) {
-        debug_assert_eq!(phase, 0);
-        debug_assert_eq!(proc, 0);
-        for (ni, nest) in self.program.nests.iter().enumerate() {
-            walk_nest(nest, &mut |pt| f(ni, pt));
-        }
-    }
-}
-
-/// An [`ExecutionOrder`] over explicit polyhedral iteration sets — the
-/// trace-generation consumer for per-disk affinity footprints such as
-/// `dpm_core::disk_iteration_sets`. Pieces are visited in insertion order
-/// (push them disk-major for the perfect-reuse order); each piece's points
-/// are streamed through one shared flat buffer ([`dpm_poly::Set::points_into`]),
-/// with `skip` leading auxiliary variables (e.g. the stripe-row counter `t`
-/// of the symbolic restructurer) stripped before the iteration reaches the
-/// generator.
-#[derive(Debug, Default)]
-pub struct SetOrder {
-    pieces: Vec<(NestId, dpm_poly::Set)>,
-    skip: usize,
-}
-
-impl SetOrder {
-    /// An empty order whose sets carry `skip` leading auxiliary variables.
-    pub fn new(skip: usize) -> Self {
-        SetOrder {
-            pieces: Vec::new(),
-            skip,
-        }
-    }
-
-    /// Appends a piece: all points of `set` (sorted lexicographically)
-    /// attributed to `nest`.
-    pub fn push(&mut self, nest: NestId, set: dpm_poly::Set) {
-        assert!(
-            set.dim() > self.skip || (set.dim() == 0 && self.skip == 0),
-            "set dimension {} leaves no iteration variables after skipping {}",
-            set.dim(),
-            self.skip
-        );
-        self.pieces.push((nest, set));
-    }
-
-    /// Number of pieces pushed so far.
-    pub fn len(&self) -> usize {
-        self.pieces.len()
-    }
-
-    /// Whether no pieces have been pushed.
-    pub fn is_empty(&self) -> bool {
-        self.pieces.is_empty()
-    }
-}
-
-impl ExecutionOrder for SetOrder {
-    fn num_procs(&self) -> u32 {
-        1
-    }
-
-    fn for_each_in_phase(&self, phase: usize, proc: u32, f: &mut dyn FnMut(NestId, &[i64])) {
-        debug_assert_eq!(phase, 0);
-        debug_assert_eq!(proc, 0);
-        let mut buf = Vec::new();
-        for (nest, set) in &self.pieces {
-            let n = set.points_into(&mut buf);
-            let dim = set.dim();
-            if dim == 0 {
-                for _ in 0..n {
-                    f(*nest, &[]);
-                }
-                continue;
-            }
-            for pt in buf.chunks(dim).take(n) {
-                f(*nest, &pt[self.skip..]);
-            }
-        }
-    }
-}
-
-/// Enumerates a nest's iterations lexicographically without materializing
-/// them.
-pub fn walk_nest(nest: &dpm_ir::LoopNest, f: &mut dyn FnMut(&[i64])) {
-    fn rec(nest: &dpm_ir::LoopNest, level: usize, point: &mut Vec<i64>, f: &mut dyn FnMut(&[i64])) {
-        if level == nest.depth() {
-            f(point);
-            return;
-        }
-        let lo = nest.loops[level].lo.eval_prefix(&point[..level]);
-        let hi = nest.loops[level].hi.eval_prefix(&point[..level]);
-        for x in lo..=hi {
-            point[level] = x;
-            rec(nest, level + 1, point, f);
-        }
-    }
-    let mut point = vec![0i64; nest.depth()];
-    rec(nest, 0, &mut point, f);
-}
-
 /// A request under assembly in one readahead stream.
 #[derive(Clone, Copy, Debug)]
 struct Pending {
     offset: u64,
     len: u64,
-    kind: RequestKind,
+    kind: AccessKind,
     first_ms: f64,
 }
 
@@ -374,23 +239,23 @@ impl<'p> TraceGenerator<'p> {
         }
     }
 
-    /// Runs the program in the given order, returning the merged trace and
-    /// generation statistics. Phase boundaries act as barriers: every
+    /// Runs the program in `schedule`'s order, returning the merged trace
+    /// and generation statistics. Phase boundaries act as barriers: every
     /// processor's clock advances to the slowest one's before the next
     /// phase starts, and pending requests are flushed.
-    pub fn generate(&self, order: &dyn ExecutionOrder) -> (Trace, TraceStats) {
+    pub fn generate(&self, schedule: &Schedule) -> (Trace, TraceStats) {
         let mut sp = dpm_obs::span!("trace_generate");
         let mut stats = TraceStats::default();
         let mut all = Vec::new();
-        let nprocs = order.num_procs();
+        let nprocs = schedule.num_procs();
         sp.add("procs", u64::from(nprocs));
-        sp.add("phases", order.num_phases() as u64);
+        sp.add("phases", schedule.num_phases() as u64);
         // Within a phase the processors are independent (they synchronize
         // only at phase boundaries), so each runs its whole phase in turn.
         // Its stat deltas are merged in processor order, the association
         // `GenStream::barrier` uses, so both generators agree bit for bit.
         let mut states: Vec<ProcState> = (0..nprocs).map(|proc| self.proc_state(proc)).collect();
-        for phase in 0..order.num_phases() {
+        for phase in 0..schedule.num_phases() {
             // Device-sharing estimate for this phase: a processor's I/O
             // blocking scales with the number of processors whose disk
             // footprints overlap its own (a disk time-shares its bandwidth
@@ -398,14 +263,15 @@ impl<'p> TraceGenerator<'p> {
             // with disjoint per-processor disk groups therefore pays no
             // contention, while a naive parallelization in which every
             // processor sweeps every disk pays the full factor.
-            let footprints = self.phase_footprints(order, phase);
-            for (proc, st) in states.iter_mut().enumerate() {
-                let contention = contention_factor(&footprints, proc);
+            let footprints = self.phase_footprints(schedule, phase);
+            for (proc, st) in (0u32..).zip(&mut states) {
+                let contention = contention_factor(&footprints, proc as usize);
                 let mut delta = TraceStats::default();
-                order.for_each_in_phase(phase, proc as u32, &mut |nest, iter| {
-                    self.execute_iteration(nest, iter, proc as u32, contention, st, &mut delta);
-                });
-                self.flush_all(proc as u32, contention, st, &mut delta);
+                let mut walk = schedule.iter(phase, proc);
+                while let Some((nest, iter)) = walk.next_point() {
+                    self.execute_iteration(nest, iter, proc, contention, st, &mut delta);
+                }
+                self.flush_all(proc, contention, st, &mut delta);
                 stats.merge(&delta);
             }
             // Barrier: synchronize clocks.
@@ -426,8 +292,8 @@ impl<'p> TraceGenerator<'p> {
     /// Which disks each processor touches within one phase:
     /// `footprints[proc][disk]`. A single processor shares nothing, so its
     /// footprint is left empty.
-    fn phase_footprints(&self, order: &dyn ExecutionOrder, phase: usize) -> Vec<Vec<bool>> {
-        let nprocs = order.num_procs();
+    fn phase_footprints(&self, schedule: &Schedule, phase: usize) -> Vec<Vec<bool>> {
+        let nprocs = schedule.num_procs();
         if nprocs == 1 {
             return vec![Vec::new()];
         }
@@ -435,14 +301,15 @@ impl<'p> TraceGenerator<'p> {
         (0..nprocs)
             .map(|proc| {
                 let mut touched = vec![false; striping.num_disks()];
-                order.for_each_in_phase(phase, proc, &mut |nest, iter| {
+                let mut walk = schedule.iter(phase, proc);
+                while let Some((nest, iter)) = walk.next_point() {
                     for stmt in self.compiled.nest(nest) {
                         for r in &stmt.refs {
                             let offset = r.offset(self.program, self.layout, iter);
                             touched[striping.disk_of_offset(offset)] = true;
                         }
                     }
-                });
+                }
                 touched
             })
             .collect()
@@ -479,7 +346,7 @@ impl<'p> TraceGenerator<'p> {
         proc: u32,
         offset: u64,
         len: u64,
-        kind: RequestKind,
+        kind: AccessKind,
         contention: f64,
         st: &mut ProcState,
         stats: &mut TraceStats,
@@ -578,6 +445,10 @@ impl<'p> TraceGenerator<'p> {
         stats: &mut TraceStats,
     ) {
         let arrival = p.first_ms + st.jitter(self.options.arrival_jitter_ms);
+        let kind = match p.kind {
+            AccessKind::Read => RequestKind::Read,
+            AccessKind::Write => RequestKind::Write,
+        };
         if dpm_obs::enabled() {
             dpm_obs::emit(
                 dpm_obs::kind::REQUEST,
@@ -589,7 +460,7 @@ impl<'p> TraceGenerator<'p> {
                     ("len", p.len.into()),
                     (
                         "op",
-                        match p.kind {
+                        match kind {
                             RequestKind::Read => "read",
                             RequestKind::Write => "write",
                         }
@@ -602,7 +473,7 @@ impl<'p> TraceGenerator<'p> {
             arrival_ms: arrival,
             offset: p.offset,
             len: p.len,
-            kind: p.kind,
+            kind,
             proc_id: proc,
         });
         stats.requests += 1;
@@ -664,6 +535,7 @@ pub fn disk_switch_count(trace: &Trace, striping: &dpm_layout::Striping) -> u64 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dpm_core::{original_schedule, CompactIter};
     use dpm_layout::Striping;
 
     fn program(src: &str) -> Program {
@@ -682,7 +554,7 @@ mod tests {
         let p = sequential_program();
         let layout = LayoutMap::new(&p, Striping::new(4096, 4, 0));
         let gen = TraceGenerator::new(&p, &layout, TraceGenOptions::default());
-        let (trace, stats) = gen.generate(&OriginalOrder::new(&p));
+        let (trace, stats) = gen.generate(&original_schedule(&p));
         // 256*128 elements * 8 B = 256 KiB of data; block-granularity
         // fetches coalesce into a handful of large requests.
         assert!(trace.len() < 8, "{} requests", trace.len());
@@ -691,59 +563,12 @@ mod tests {
         assert!(stats.cache_hits > 0);
     }
 
-    /// A `SetOrder` whose single set is exactly the nest's iteration space
-    /// must generate the same trace, byte for byte, as `OriginalOrder` —
-    /// the polyhedral route into the generator changes nothing.
-    #[test]
-    fn set_order_over_full_space_matches_original_order() {
-        let p = program(
-            "program t; array A[64][8] : f64;
-             nest L { for i = 0 .. 63 { for j = 0 .. 7 { A[i][j] = A[i][j] + 1; } } }",
-        );
-        let layout = LayoutMap::new(&p, Striping::new(512, 4, 0));
-        let space = dpm_poly::Polyhedron::universe(2)
-            .with_range(0, 0, 63)
-            .with_range(1, 0, 7);
-        let mut order = SetOrder::new(0);
-        order.push(0, dpm_poly::Set::from(space));
-        assert_eq!(order.len(), 1);
-        assert!(!order.is_empty());
-        let gen = TraceGenerator::new(&p, &layout, TraceGenOptions::default());
-        let (trace, stats) = gen.generate(&order);
-        let (base_trace, base_stats) = gen.generate(&OriginalOrder::new(&p));
-        assert_eq!(trace.requests(), base_trace.requests());
-        assert_eq!(stats, base_stats);
-    }
-
-    /// The `skip` prefix strips auxiliary variables (the symbolic
-    /// restructurer's stripe-row counter `t`) before iterations reach the
-    /// generator.
-    #[test]
-    fn set_order_strips_auxiliary_prefix() {
-        // (t, i) with i = 4t .. 4t+3, t in 0..=3: i sweeps 0..=15 in order.
-        let t = dpm_poly::LinExpr::var(2, 0);
-        let i = dpm_poly::LinExpr::var(2, 1);
-        let piece = dpm_poly::Polyhedron::universe(2)
-            .with_range(0, 0, 3)
-            .with(dpm_poly::Constraint::geq(&i, &t.scaled(4)))
-            .with(dpm_poly::Constraint::leq(&i, &t.scaled(4).plus_const(3)));
-        let mut order = SetOrder::new(1);
-        order.push(0, dpm_poly::Set::from(piece));
-        let mut seen = Vec::new();
-        order.for_each_in_phase(0, 0, &mut |ni, pt| {
-            assert_eq!(ni, 0);
-            assert_eq!(pt.len(), 1);
-            seen.push(pt[0]);
-        });
-        assert_eq!(seen, (0..16).collect::<Vec<i64>>());
-    }
-
     #[test]
     fn arrivals_are_monotone_per_processor() {
         let p = sequential_program();
         let layout = LayoutMap::new(&p, Striping::new(4096, 4, 0));
         let gen = TraceGenerator::new(&p, &layout, TraceGenOptions::default());
-        let (trace, _) = gen.generate(&OriginalOrder::new(&p));
+        let (trace, _) = gen.generate(&original_schedule(&p));
         let mut last = f64::NEG_INFINITY;
         for r in trace.requests() {
             assert!(r.arrival_ms >= last);
@@ -756,7 +581,7 @@ mod tests {
         let p = sequential_program();
         let layout = LayoutMap::new(&p, Striping::new(4096, 4, 0));
         let gen = TraceGenerator::new(&p, &layout, TraceGenOptions::default());
-        let (_, stats) = gen.generate(&OriginalOrder::new(&p));
+        let (_, stats) = gen.generate(&original_schedule(&p));
         let f = stats.io_fraction();
         assert!(f > 0.05 && f < 0.98, "io fraction {f}");
     }
@@ -769,7 +594,7 @@ mod tests {
         );
         let layout = LayoutMap::new(&p, Striping::new(512, 4, 0));
         let gen = TraceGenerator::new(&p, &layout, TraceGenOptions::default());
-        let (_, stats) = gen.generate(&OriginalOrder::new(&p));
+        let (_, stats) = gen.generate(&original_schedule(&p));
         assert_eq!(stats.element_accesses, 4 * 64);
         assert!(stats.cache_hits >= 3 * 64 - 8, "hits {}", stats.cache_hits);
     }
@@ -783,7 +608,7 @@ mod tests {
             ..TraceGenOptions::default()
         };
         let gen = TraceGenerator::new(&p, &layout, opts);
-        let (trace, _) = gen.generate(&OriginalOrder::new(&p));
+        let (trace, _) = gen.generate(&original_schedule(&p));
         // Without the reuse window every block fetch is visible, but the
         // pending-request coverage check still absorbs same-block rereads,
         // so the trace stays finite and block-aligned.
@@ -799,7 +624,7 @@ mod tests {
             ..TraceGenOptions::default()
         };
         let gen = TraceGenerator::new(&p, &layout, opts);
-        let (trace, _) = gen.generate(&OriginalOrder::new(&p));
+        let (trace, _) = gen.generate(&original_schedule(&p));
         assert!(trace.requests().iter().all(|r| r.len <= 8192));
         assert!(!trace.is_empty());
     }
@@ -826,8 +651,8 @@ mod tests {
         };
         let lr = LayoutMap::new(&row, striping);
         let lc = LayoutMap::new(&col, striping);
-        let (tr, sr) = TraceGenerator::new(&row, &lr, opts).generate(&OriginalOrder::new(&row));
-        let (tc, sc) = TraceGenerator::new(&col, &lc, opts).generate(&OriginalOrder::new(&col));
+        let (tr, sr) = TraceGenerator::new(&row, &lr, opts).generate(&original_schedule(&row));
+        let (tc, sc) = TraceGenerator::new(&col, &lc, opts).generate(&original_schedule(&col));
         assert!(
             sc.bytes > 16 * sr.bytes,
             "row {} col {} bytes",
@@ -846,34 +671,22 @@ mod tests {
     fn phase_barriers_synchronize_clocks() {
         // Two phases; proc 1 does nothing in phase 0. Its phase-1 requests
         // must still start no earlier than proc 0's phase-0 finish.
-        struct TwoPhase<'p>(&'p Program);
-        impl ExecutionOrder for TwoPhase<'_> {
-            fn num_procs(&self) -> u32 {
-                2
-            }
-            fn num_phases(&self) -> usize {
-                2
-            }
-            fn for_each_in_phase(
-                &self,
-                phase: usize,
-                proc: u32,
-                f: &mut dyn FnMut(NestId, &[i64]),
-            ) {
-                // Phase 0: proc 0 runs the whole nest; phase 1: proc 1 does.
-                if (phase == 0 && proc == 0) || (phase == 1 && proc == 1) {
-                    walk_nest(&self.0.nests[0], &mut |pt| f(0, pt));
-                }
-            }
-        }
         let p = sequential_program();
+        let all = 0..p.nests[0].trip_count() as usize;
+        let mut two_phase = Schedule::new(&p, 2, 2);
+        two_phase.push_ranks(0, 0, 0, all.clone());
+        two_phase.push_ranks(1, 1, 0, all);
         let layout = LayoutMap::new(&p, Striping::new(4096, 4, 0));
+        // One block per request, so proc 0's requests spread over its
+        // phase; coalesced into one request each, both procs would issue
+        // theirs at time 0 and the check below could not fail.
         let opts = TraceGenOptions {
             reuse_window_blocks: 0,
+            max_request_bytes: 4096,
             ..TraceGenOptions::default()
         };
         let gen = TraceGenerator::new(&p, &layout, opts);
-        let (trace, _) = gen.generate(&TwoPhase(&p));
+        let (trace, _) = gen.generate(&two_phase);
         let p0_last = trace
             .requests()
             .iter()
@@ -896,29 +709,19 @@ mod tests {
     fn contention_scales_blocking_for_overlapping_footprints() {
         // Two procs sweeping the SAME data: each must be paced ~2x slower
         // than a single proc doing half the work.
-        struct Shared<'p>(&'p Program, u32);
-        impl ExecutionOrder for Shared<'_> {
-            fn num_procs(&self) -> u32 {
-                self.1
-            }
-            fn for_each_in_phase(
-                &self,
-                _phase: usize,
-                proc: u32,
-                f: &mut dyn FnMut(NestId, &[i64]),
-            ) {
-                walk_nest(&self.0.nests[0], &mut |pt| {
-                    if (pt[1].rem_euclid(self.1 as i64)) as u32 == proc {
-                        f(0, pt);
-                    }
-                });
-            }
-        }
         let p = sequential_program();
+        let shared = |procs: u32| {
+            let mut s = Schedule::new(&p, procs, 1);
+            p.nests[0].walk(|pt| {
+                let proc = pt[1].rem_euclid(i64::from(procs)) as u32;
+                s.push(0, proc, CompactIter::new(0, pt));
+            });
+            s
+        };
         let layout = LayoutMap::new(&p, Striping::new(4096, 4, 0));
         let gen = TraceGenerator::new(&p, &layout, TraceGenOptions::default());
-        let (_, one) = gen.generate(&Shared(&p, 1));
-        let (_, two) = gen.generate(&Shared(&p, 2));
+        let (_, one) = gen.generate(&shared(1));
+        let (_, two) = gen.generate(&shared(2));
         // Same bytes moved, but the two-proc run blocks ~2x per request.
         let per_req_1 = one.io_block_ms / one.requests.max(1) as f64;
         let per_req_2 = two.io_block_ms / two.requests.max(1) as f64;
@@ -933,16 +736,16 @@ mod tests {
         let p = sequential_program();
         let layout = LayoutMap::new(&p, Striping::new(4096, 4, 0));
         let plain = TraceGenerator::new(&p, &layout, TraceGenOptions::default())
-            .generate(&OriginalOrder::new(&p));
+            .generate(&original_schedule(&p));
         let jopts = TraceGenOptions {
             arrival_jitter_ms: 2.0,
             ..TraceGenOptions::default()
         };
-        let jittered = TraceGenerator::new(&p, &layout, jopts).generate(&OriginalOrder::new(&p));
+        let jittered = TraceGenerator::new(&p, &layout, jopts).generate(&original_schedule(&p));
         assert_eq!(plain.0.len(), jittered.0.len());
         assert_eq!(plain.1.bytes, jittered.1.bytes);
         // Deterministic seed: same run twice is identical.
-        let again = TraceGenerator::new(&p, &layout, jopts).generate(&OriginalOrder::new(&p));
+        let again = TraceGenerator::new(&p, &layout, jopts).generate(&original_schedule(&p));
         assert_eq!(
             jittered.0.requests()[0].arrival_ms,
             again.0.requests()[0].arrival_ms
@@ -957,33 +760,37 @@ mod tests {
         assert!(moved);
     }
 
+    /// A compiled reference's out-of-bounds panic reaches the caller of
+    /// `generate` and names the array.
+    #[test]
+    #[should_panic(expected = "out of bounds for extent 8 in array Edge")]
+    fn out_of_bounds_subscript_names_the_array() {
+        let p = program(
+            "program t; array Edge[8] : f64;
+             nest L { for i = 0 .. 7 { Edge[i + 1] = 1; } }",
+        );
+        let layout = LayoutMap::new(&p, Striping::new(512, 4, 0));
+        let gen = TraceGenerator::new(&p, &layout, TraceGenOptions::default());
+        gen.generate(&original_schedule(&p));
+    }
+
     /// Footprints count sharers per disk over every disk of the striping:
     /// with 72 disks, disk 64 is not disk 0.
     #[test]
     fn contention_counts_disks_beyond_64() {
-        struct Apart;
-        impl ExecutionOrder for Apart {
-            fn num_procs(&self) -> u32 {
-                2
-            }
-            fn for_each_in_phase(
-                &self,
-                _phase: usize,
-                proc: u32,
-                f: &mut dyn FnMut(NestId, &[i64]),
-            ) {
-                // 512-byte stripes hold 64 elements: element 0 sits on
-                // disk 0, element 64 * 64 on disk 64.
-                f(0, &[i64::from(proc) * 64 * 64]);
-            }
-        }
         let p = program(
             "program t; array A[4608] : f64;
              nest L { for i = 0 .. 4607 { A[i] = 1; } }",
         );
+        // 512-byte stripes hold 64 elements: element 0 sits on disk 0,
+        // element 64 * 64 on disk 64.
+        let mut apart = Schedule::new(&p, 2, 1);
+        for proc in 0..2u32 {
+            apart.push(0, proc, CompactIter::new(0, &[i64::from(proc) * 64 * 64]));
+        }
         let layout = LayoutMap::new(&p, Striping::new(512, 72, 0));
         let gen = TraceGenerator::new(&p, &layout, TraceGenOptions::default());
-        let footprints = gen.phase_footprints(&Apart, 0);
+        let footprints = gen.phase_footprints(&apart, 0);
         assert!(footprints[0][0] && footprints[1][64]);
         assert_eq!(contention_factor(&footprints, 0), 1.0);
         assert_eq!(contention_factor(&footprints, 1), 1.0);
@@ -991,29 +798,13 @@ mod tests {
 
     #[test]
     fn multi_proc_order_merges_by_time() {
-        struct TwoProcs<'p>(&'p Program);
-        impl ExecutionOrder for TwoProcs<'_> {
-            fn num_procs(&self) -> u32 {
-                2
-            }
-            fn for_each_in_phase(
-                &self,
-                _phase: usize,
-                proc: u32,
-                f: &mut dyn FnMut(NestId, &[i64]),
-            ) {
-                // Processor p executes the half of nest 0 with i % 2 == p.
-                walk_nest(&self.0.nests[0], &mut |pt| {
-                    if (pt[0] % 2) as u32 == proc {
-                        f(0, pt);
-                    }
-                });
-            }
-        }
         let p = sequential_program();
+        // Processor p executes the half of nest 0 with i % 2 == p.
+        let mut two_procs = Schedule::new(&p, 2, 1);
+        p.nests[0].walk(|pt| two_procs.push(0, (pt[0] % 2) as u32, CompactIter::new(0, pt)));
         let layout = LayoutMap::new(&p, Striping::new(4096, 4, 0));
         let gen = TraceGenerator::new(&p, &layout, TraceGenOptions::default());
-        let (trace, _) = gen.generate(&TwoProcs(&p));
+        let (trace, _) = gen.generate(&two_procs);
         let procs: std::collections::HashSet<u32> =
             trace.requests().iter().map(|r| r.proc_id).collect();
         assert_eq!(procs.len(), 2);

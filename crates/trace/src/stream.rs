@@ -6,14 +6,13 @@
 //! `IoRequest`s per trace. The streaming path produces the *same sequence*
 //! one request at a time:
 //!
-//! * an [`IterCursor`] walks one processor's iterations of one phase
-//!   lazily (the [`StreamOrder`] trait supplies cursors; closed-form orders
-//!   like [`OriginalOrder`](crate::OriginalOrder) and
-//!   [`SetOrder`](crate::SetOrder) need no materialization at all);
-//! * [`GenStream`] drives all processors' cursors in lockstep and merges
-//!   their emissions with a watermark rule that reproduces the batch
-//!   path's stable sort **bit for bit** — including under non-zero arrival
-//!   jitter, where a processor's own emissions are not monotone.
+//! * each processor's lane walks its iterations of the current phase with
+//!   a [`ScheduleIter`] held by value ([`Schedule::iter`]), which unranks
+//!   the schedule's runs as it goes, so nothing is materialized;
+//! * [`GenStream`] drives all lanes in lockstep and merges their emissions
+//!   with a watermark rule that reproduces the batch path's stable sort
+//!   **bit for bit** — including under non-zero arrival jitter, where a
+//!   processor's own emissions are not monotone.
 //!
 //! Resident memory is O(processors × (pending streams + reuse window +
 //! in-flight merge buffer)) — independent of trace length.
@@ -36,189 +35,10 @@
 //! to release once it also precedes `(min(head, W), proc)` of every other
 //! processor.
 
-use crate::{contention_factor, ExecutionOrder, ProcState, TraceGenerator, TraceStats};
+use crate::{contention_factor, ProcState, TraceGenerator, TraceStats};
+use dpm_core::{Schedule, ScheduleIter};
 use dpm_disksim::{IoRequest, RequestStream};
-use dpm_ir::{LoopNest, NestId, Program};
 use std::collections::VecDeque;
-
-/// A lazy walk over `(nest, iteration)` pairs: the pull-based counterpart
-/// of [`ExecutionOrder::for_each_in_phase`].
-pub trait IterCursor {
-    /// Writes the next iteration's coordinates into `point` and returns
-    /// its nest, or `None` when the walk is exhausted.
-    fn next(&mut self, point: &mut Vec<i64>) -> Option<NestId>;
-}
-
-/// An [`ExecutionOrder`] that can also hand out per-`(phase, proc)`
-/// cursors, so the trace generator can stream it without materializing
-/// iteration lists.
-///
-/// Contract: the cursor must yield exactly the pairs
-/// [`for_each_in_phase`](ExecutionOrder::for_each_in_phase) would visit,
-/// in the same order — that is what makes the streamed trace bit-identical
-/// to the batch trace.
-pub trait StreamOrder: ExecutionOrder {
-    /// A cursor over processor `proc`'s iterations within `phase`.
-    fn cursor(&self, phase: usize, proc: u32) -> Box<dyn IterCursor + '_>;
-}
-
-/// Lexicographic odometer over one loop nest: the lazy equivalent of
-/// [`walk_nest`](crate::walk_nest), handling dynamic (prefix-dependent)
-/// bounds and empty ranges at any level.
-pub struct NestCursor<'a> {
-    nest: &'a LoopNest,
-    point: Vec<i64>,
-    his: Vec<i64>,
-    started: bool,
-    done: bool,
-}
-
-impl<'a> NestCursor<'a> {
-    /// A cursor positioned before the nest's first iteration.
-    pub fn new(nest: &'a LoopNest) -> NestCursor<'a> {
-        let d = nest.depth();
-        NestCursor {
-            nest,
-            point: vec![0; d],
-            his: vec![0; d],
-            started: false,
-            done: false,
-        }
-    }
-
-    /// The next iteration point, in the order `walk_nest` visits them.
-    pub fn next_point(&mut self) -> Option<&[i64]> {
-        if self.done {
-            return None;
-        }
-        let dim = self.nest.depth();
-        if dim == 0 {
-            // A depth-0 nest has exactly one (empty) iteration.
-            if self.started {
-                self.done = true;
-                return None;
-            }
-            self.started = true;
-            return Some(&self.point);
-        }
-        let (mut level, mut entering) = if self.started {
-            (dim - 1, false)
-        } else {
-            self.started = true;
-            (0, true)
-        };
-        loop {
-            if entering {
-                let lo = self.nest.loops[level].lo.eval_prefix(&self.point[..level]);
-                let hi = self.nest.loops[level].hi.eval_prefix(&self.point[..level]);
-                if lo > hi {
-                    if level == 0 {
-                        self.done = true;
-                        return None;
-                    }
-                    level -= 1;
-                    entering = false;
-                    continue;
-                }
-                self.point[level] = lo;
-                self.his[level] = hi;
-            } else {
-                if self.point[level] >= self.his[level] {
-                    if level == 0 {
-                        self.done = true;
-                        return None;
-                    }
-                    level -= 1;
-                    continue;
-                }
-                self.point[level] += 1;
-            }
-            if level + 1 == dim {
-                return Some(&self.point);
-            }
-            level += 1;
-            entering = true;
-        }
-    }
-}
-
-/// Cursor over a whole program: nests in program order, iterations
-/// lexicographic — [`OriginalOrder`](crate::OriginalOrder)'s walk.
-struct OriginalCursor<'a> {
-    program: &'a Program,
-    nest: usize,
-    cur: Option<NestCursor<'a>>,
-}
-
-impl IterCursor for OriginalCursor<'_> {
-    fn next(&mut self, point: &mut Vec<i64>) -> Option<NestId> {
-        loop {
-            if self.nest >= self.program.nests.len() {
-                return None;
-            }
-            let cur = self
-                .cur
-                .get_or_insert_with(|| NestCursor::new(&self.program.nests[self.nest]));
-            if let Some(pt) = cur.next_point() {
-                point.clear();
-                point.extend_from_slice(pt);
-                return Some(self.nest);
-            }
-            self.cur = None;
-            self.nest += 1;
-        }
-    }
-}
-
-impl StreamOrder for crate::OriginalOrder<'_> {
-    fn cursor(&self, phase: usize, proc: u32) -> Box<dyn IterCursor + '_> {
-        debug_assert_eq!(phase, 0);
-        debug_assert_eq!(proc, 0);
-        Box::new(OriginalCursor {
-            program: self.program,
-            nest: 0,
-            cur: None,
-        })
-    }
-}
-
-/// Cursor over a [`SetOrder`](crate::SetOrder): pieces in insertion order,
-/// each piece's points streamed lazily through
-/// [`dpm_poly::Set::cursor`] (proven to match the sorted enumeration the
-/// batch path uses), with the auxiliary `skip` prefix stripped.
-struct SetOrderCursor<'a> {
-    order: &'a crate::SetOrder,
-    piece: usize,
-    cur: Option<dpm_poly::SetCursor<'a>>,
-}
-
-impl IterCursor for SetOrderCursor<'_> {
-    fn next(&mut self, point: &mut Vec<i64>) -> Option<NestId> {
-        loop {
-            let (nest, set) = self.order.pieces.get(self.piece)?;
-            let cur = self.cur.get_or_insert_with(|| set.cursor());
-            if let Some(pt) = cur.next_point() {
-                point.clear();
-                point.extend_from_slice(&pt[self.order.skip..]);
-                return Some(*nest);
-            }
-            self.cur = None;
-            self.piece += 1;
-        }
-    }
-}
-
-impl StreamOrder for crate::SetOrder {
-    fn cursor(&self, phase: usize, proc: u32) -> Box<dyn IterCursor + '_> {
-        debug_assert_eq!(phase, 0);
-        debug_assert_eq!(proc, 0);
-        Box::new(SetOrderCursor {
-            order: self,
-            piece: 0,
-            cur: None,
-        })
-    }
-}
 
 /// Requests a lane emits per [`GenStream`] drive before the merge looks
 /// again. Driving a lane only to its first request made the merge rescan
@@ -240,7 +60,7 @@ struct Lane<'g> {
     st: ProcState,
     /// `Some` while the lane still has iterations (or a pending flush) in
     /// the current phase; `None` once the phase's emissions are complete.
-    cursor: Option<Box<dyn IterCursor + 'g>>,
+    walk: Option<ScheduleIter<'g>>,
     /// This phase's stat deltas, merged at the barrier in processor order
     /// (the batch path's association, so stats match bit for bit).
     delta: TraceStats,
@@ -301,25 +121,23 @@ impl Lane<'_> {
 /// it. Experiment matrices run whole cells in parallel instead.
 pub struct GenStream<'g> {
     generator: &'g TraceGenerator<'g>,
-    order: &'g dyn StreamOrder,
+    schedule: &'g Schedule,
     lanes: Vec<Lane<'g>>,
     phase: usize,
     contention: Vec<f64>,
     stats: TraceStats,
-    point: Vec<i64>,
     run_finished: bool,
 }
 
 impl<'p> TraceGenerator<'p> {
-    /// Streams the program's trace in the given order, one request at a
+    /// Streams the program's trace in `schedule`'s order, one request at a
     /// time. The yielded sequence (and final [`GenStream::stats`]) is
-    /// bit-identical to [`generate`](Self::generate) on the same order.
-    pub fn stream<'g>(&'g self, order: &'g dyn StreamOrder) -> GenStream<'g> {
-        let nprocs = order.num_procs();
-        let lanes = (0..nprocs)
+    /// bit-identical to [`generate`](Self::generate) on the same schedule.
+    pub fn stream<'g>(&'g self, schedule: &'g Schedule) -> GenStream<'g> {
+        let lanes = (0..schedule.num_procs())
             .map(|proc| Lane {
                 st: self.proc_state(proc),
-                cursor: None,
+                walk: None,
                 delta: TraceStats::default(),
                 buffer: VecDeque::new(),
                 seq: 0,
@@ -328,19 +146,15 @@ impl<'p> TraceGenerator<'p> {
             .collect();
         let mut s = GenStream {
             generator: self,
-            order,
+            schedule,
             lanes,
             phase: 0,
             contention: Vec::new(),
             stats: TraceStats::default(),
-            point: Vec::new(),
             run_finished: false,
         };
-        if order.num_phases() == 0 {
-            s.finish_run();
-        } else {
-            s.start_phase();
-        }
+        // A schedule has at least one phase.
+        s.start_phase();
         s
     }
 }
@@ -365,12 +179,12 @@ impl GenStream<'_> {
     }
 
     fn start_phase(&mut self) {
-        let footprints = self.generator.phase_footprints(self.order, self.phase);
+        let footprints = self.generator.phase_footprints(self.schedule, self.phase);
         self.contention = (0..self.lanes.len())
             .map(|p| contention_factor(&footprints, p))
             .collect();
-        for (proc, lane) in self.lanes.iter_mut().enumerate() {
-            lane.cursor = Some(self.order.cursor(self.phase, proc as u32));
+        for (proc, lane) in (0u32..).zip(&mut self.lanes) {
+            lane.walk = Some(self.schedule.iter(self.phase, proc));
         }
     }
 
@@ -386,15 +200,15 @@ impl GenStream<'_> {
     fn drive(&mut self, i: usize) {
         let lane = &mut self.lanes[i];
         let contention = self.contention[i];
-        let Some(cursor) = lane.cursor.as_mut() else {
+        let Some(walk) = lane.walk.as_mut() else {
             return;
         };
         let mut phase_done = false;
         while lane.st.requests.len() < EMIT_BLOCK {
-            match cursor.next(&mut self.point) {
-                Some(nest) => self.generator.execute_iteration(
+            match walk.next_point() {
+                Some((nest, iter)) => self.generator.execute_iteration(
                     nest,
-                    &self.point,
+                    iter,
                     i as u32,
                     contention,
                     &mut lane.st,
@@ -409,7 +223,7 @@ impl GenStream<'_> {
             }
         }
         if phase_done {
-            lane.cursor = None;
+            lane.walk = None;
         }
         lane.drain_emitted();
         lane.refresh_watermark();
@@ -433,7 +247,7 @@ impl GenStream<'_> {
             lane.refresh_watermark();
         }
         self.phase += 1;
-        if self.phase < self.order.num_phases() {
+        if self.phase < self.schedule.num_phases() {
             self.start_phase();
         } else {
             self.finish_run();
@@ -482,7 +296,7 @@ impl RequestStream for GenStream<'_> {
                 .lanes
                 .iter()
                 .enumerate()
-                .filter(|(_, l)| l.cursor.is_some())
+                .filter(|(_, l)| l.walk.is_some())
                 .min_by_key(|(q, l)| (l.watermark.min(l.head_bits().unwrap_or(u64::MAX)), *q))
                 .map(|(q, _)| q);
             match next {
@@ -496,28 +310,13 @@ impl RequestStream for GenStream<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{OriginalOrder, SetOrder, TraceGenOptions};
+    use crate::TraceGenOptions;
+    use dpm_core::{original_schedule, CompactIter};
+    use dpm_ir::Program;
     use dpm_layout::{LayoutMap, Striping};
 
     fn program(src: &str) -> Program {
         dpm_ir::parse_program(src).unwrap()
-    }
-
-    #[test]
-    fn nest_cursor_matches_walk_nest() {
-        let p = program(
-            "program t; array A[8][4] : f64;
-             nest L { for i = 0 .. 7 { for j = 0 .. i { A[i][j] = 1; } } }",
-        );
-        let mut expect = Vec::new();
-        crate::walk_nest(&p.nests[0], &mut |pt| expect.push(pt.to_vec()));
-        let mut cur = NestCursor::new(&p.nests[0]);
-        let mut got = Vec::new();
-        while let Some(pt) = cur.next_point() {
-            got.push(pt.to_vec());
-        }
-        assert_eq!(got, expect);
-        assert!(cur.next_point().is_none());
     }
 
     fn drain(stream: &mut GenStream<'_>) -> Vec<IoRequest> {
@@ -536,9 +335,9 @@ mod tests {
         );
         let layout = LayoutMap::new(&p, Striping::new(4096, 4, 0));
         let generator = TraceGenerator::new(&p, &layout, TraceGenOptions::default());
-        let order = OriginalOrder::new(&p);
-        let (trace, stats) = generator.generate(&order);
-        let mut stream = generator.stream(&order);
+        let schedule = original_schedule(&p);
+        let (trace, stats) = generator.generate(&schedule);
+        let mut stream = generator.stream(&schedule);
         let streamed = drain(&mut stream);
         assert_eq!(streamed, trace.requests());
         assert_eq!(stream.stats(), stats);
@@ -546,21 +345,26 @@ mod tests {
         assert!(stream.next_request().is_none());
     }
 
+    /// A multi-processor, multi-phase schedule streamed through
+    /// `TraceGenerator::stream` yields the batch path's trace and stats
+    /// bit for bit — the hardest merge case (cross-processor arrival ties
+    /// at every barrier).
     #[test]
-    fn streamed_set_order_matches_batch() {
+    fn streamed_schedule_matches_batch_generation() {
         let p = program(
             "program t; array A[64][8] : f64;
-             nest L { for i = 0 .. 63 { for j = 0 .. 7 { A[i][j] = A[i][j] + 1; } } }",
+             nest L { for i = 0 .. 63 { for j = 0 .. 7 { A[i][j] = 1; } } }",
         );
+        let mut s = Schedule::new(&p, 2, 2);
+        p.nests[0].walk(|pt| {
+            let phase = usize::from(pt[0] >= 32);
+            let proc = (pt[0] % 2) as u32;
+            s.push(phase, proc, CompactIter::new(0, pt));
+        });
         let layout = LayoutMap::new(&p, Striping::new(512, 4, 0));
-        let space = dpm_poly::Polyhedron::universe(2)
-            .with_range(0, 0, 63)
-            .with_range(1, 0, 7);
-        let mut order = SetOrder::new(0);
-        order.push(0, dpm_poly::Set::from(space));
         let generator = TraceGenerator::new(&p, &layout, TraceGenOptions::default());
-        let (trace, stats) = generator.generate(&order);
-        let mut stream = generator.stream(&order);
+        let (trace, stats) = generator.generate(&s);
+        let mut stream = generator.stream(&s);
         assert_eq!(drain(&mut stream), trace.requests());
         assert_eq!(stream.stats(), stats);
     }
@@ -579,9 +383,9 @@ mod tests {
             ..TraceGenOptions::default()
         };
         let generator = TraceGenerator::new(&p, &layout, opts);
-        let order = OriginalOrder::new(&p);
-        let (trace, stats) = generator.generate(&order);
-        let mut stream = generator.stream(&order);
+        let schedule = original_schedule(&p);
+        let (trace, stats) = generator.generate(&schedule);
+        let mut stream = generator.stream(&schedule);
         assert_eq!(drain(&mut stream), trace.requests());
         assert_eq!(stream.stats(), stats);
     }

@@ -17,6 +17,19 @@ run cargo build --release --offline --workspace
 run cargo test -q --offline --workspace
 run cargo fmt --all --check
 
+# The root examples are public-API walkthroughs: `cargo test` compiles
+# them, this runs each one, so a runtime panic fails the gate. They run
+# from a scratch directory because some write to their working directory
+# (`observability` writes dpm-obs.jsonl).
+run cargo build --release --offline --examples
+examples_cwd=$(mktemp -d)
+for src in examples/*.rs; do
+    example=$(basename "$src" .rs)
+    echo "==> examples/$example"
+    (cd "$examples_cwd" && "$OLDPWD/target/release/examples/$example" > "$example.out")
+done
+rm -rf "$examples_cwd"
+
 # Pinned lint set. `-D warnings` promotes every default clippy lint plus
 # rustc warnings to errors; the extra pins deny leftover debugging and
 # placeholder macros that are warn-by-default (or allow-by-default) and

@@ -17,6 +17,10 @@
 use disk_reuse::prelude::*;
 use std::process::ExitCode;
 
+/// Disks the reuse and parallel transforms can address: they keep the
+/// disks an iteration touches in a 64-bit mask.
+const MASK_DISKS: usize = 64;
+
 struct Options {
     command: String,
     input: String,
@@ -106,11 +110,25 @@ fn parse_args() -> Result<Options, String> {
             other => return Err(format!("unknown option `{other}`\n\n{}", usage())),
         }
     }
+    if o.stripe_unit == 0 {
+        return Err("--stripe: the stripe unit must be 1 byte or more (got 0)".into());
+    }
+    if o.disks == 0 {
+        return Err("--disks: the stripe factor must be 1 disk or more (got 0)".into());
+    }
+    if o.start_disk >= o.disks {
+        return Err(format!(
+            "--start: the starting iodevice must be 0 to {} with {} disks (got {})",
+            o.disks - 1,
+            o.disks,
+            o.start_disk
+        ));
+    }
     Ok(o)
 }
 
 fn transform_of(o: &Options) -> Result<Transform, String> {
-    Ok(match o.transform.as_str() {
+    let transform = match o.transform.as_str() {
         "original" => Transform::Original,
         "reuse" => Transform::DiskReuse,
         "parallel" => Transform::Parallel {
@@ -124,7 +142,20 @@ fn transform_of(o: &Options) -> Result<Transform, String> {
             cluster: true,
         },
         other => return Err(format!("unknown transform `{other}`")),
-    })
+    };
+    if matches!(transform, Transform::Parallel { procs: 0, .. }) {
+        return Err(format!(
+            "--procs: the `{}` transform needs 1 processor or more (got 0)",
+            o.transform
+        ));
+    }
+    if transform != Transform::Original && o.disks > MASK_DISKS {
+        return Err(format!(
+            "--disks: the `{}` transform supports 1 to {MASK_DISKS} disks (got {})",
+            o.transform, o.disks
+        ));
+    }
+    Ok(transform)
 }
 
 fn policy_of(name: &str) -> Result<PowerPolicy, String> {

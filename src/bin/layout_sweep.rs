@@ -9,11 +9,7 @@ use disk_reuse::optimizer::{unified_optimize, LayoutSearchSpace};
 use disk_reuse::prelude::*;
 
 fn main() {
-    let scale = match std::env::args().nth(1).as_deref() {
-        Some("paper") => Scale::Paper,
-        Some("tiny") => Scale::Tiny,
-        _ => Scale::Small,
-    };
+    let scale = dpm_apps::scale_arg(Scale::Small);
     let app_name = std::env::args().nth(2).unwrap_or_else(|| "AST".into());
     let app = by_name(&app_name, scale).expect("unknown app");
     let program = app.program();

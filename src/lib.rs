@@ -93,7 +93,5 @@ pub mod prelude {
     pub use dpm_layout::{
         ArrayDemand, LayoutMap, PlacementEntry, PlacementPlan, Striping, TierTopology, TieredVolume,
     };
-    pub use dpm_trace::{
-        disk_switch_count, ExecutionOrder, OriginalOrder, TraceGenOptions, TraceGenerator,
-    };
+    pub use dpm_trace::{disk_switch_count, TraceGenOptions, TraceGenerator};
 }

@@ -6,7 +6,10 @@
 //! digest over every request's `(arrival bits, offset, len, kind, proc)`.
 //!
 //! The generator's contract is bit-identical output, so the fresh
-//! rendering must equal the checked-in file byte for byte. To regenerate
+//! rendering must equal the checked-in file byte for byte. Each entry is
+//! generated twice, by `TraceGenerator::generate` and by draining
+//! `TraceGenerator::stream`, and the two must agree on the request count,
+//! the stats bits and the digest, so the file pins both paths. To regenerate
 //! after an intentional behavior change:
 //!
 //! ```text
@@ -15,10 +18,10 @@
 
 use dpm_apps::Scale;
 use dpm_bench::{build_schedule, ExperimentConfig, ScheduleShape};
-use dpm_disksim::RequestKind;
+use dpm_disksim::{IoRequest, RequestKind};
 use dpm_layout::LayoutMap;
 use dpm_obs::Json;
-use dpm_trace::{TraceGenerator, TraceStats};
+use dpm_trace::{RequestStream, TraceGenerator, TraceStats};
 use std::path::PathBuf;
 
 const GOLDEN: &str = "trace_small.json";
@@ -37,6 +40,21 @@ impl Fnv {
             self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
         }
     }
+}
+
+/// Request count and digest of a request sequence.
+fn fingerprint(requests: impl Iterator<Item = IoRequest>) -> (u64, u64) {
+    let mut h = Fnv::new();
+    let mut n = 0;
+    for r in requests {
+        h.word(r.arrival_ms.to_bits());
+        h.word(r.offset);
+        h.word(r.len);
+        h.word(u64::from(r.kind == RequestKind::Write));
+        h.word(u64::from(r.proc_id));
+        n += 1;
+    }
+    (n, h.0)
 }
 
 fn hex(v: u64) -> Json {
@@ -74,19 +92,28 @@ fn build() -> Json {
                 .map(|&(label, shape, procs)| {
                     let schedule = build_schedule(&program, &layout, &deps, shape, procs);
                     let (trace, stats) = gen.generate(&schedule);
-                    let mut h = Fnv::new();
-                    for r in trace.requests() {
-                        h.word(r.arrival_ms.to_bits());
-                        h.word(r.offset);
-                        h.word(r.len);
-                        h.word(u64::from(r.kind == RequestKind::Write));
-                        h.word(u64::from(r.proc_id));
-                    }
+                    let (requests, digest) = fingerprint(trace.requests().iter().copied());
+                    drop(trace);
+                    let mut stream = gen.stream(&schedule);
+                    let streamed = fingerprint(std::iter::from_fn(|| stream.next_request()));
+                    assert_eq!(
+                        streamed,
+                        (requests, digest),
+                        "{}/{label}: streamed (requests, digest) differ from generate's",
+                        app.name
+                    );
+                    let stats = stats_json(&stats);
+                    assert_eq!(
+                        stats_json(&stream.stats()).to_string(),
+                        stats.to_string(),
+                        "{}/{label}: streamed stats differ from generate's",
+                        app.name
+                    );
                     Json::obj(vec![
                         ("schedule", Json::Str(label.into())),
-                        ("requests", Json::U64(trace.len() as u64)),
-                        ("stats", stats_json(&stats)),
-                        ("digest", hex(h.0)),
+                        ("requests", Json::U64(requests)),
+                        ("stats", stats),
+                        ("digest", hex(digest)),
                     ])
                 })
                 .collect();

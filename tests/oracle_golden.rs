@@ -152,9 +152,7 @@ fn build_oracle_tiny() -> Json {
     // phase-granularity windows with content.
     let mut two_phase = Schedule::new(&burst, 2, 2);
     for (ni, nest) in burst.nests.iter().enumerate() {
-        dpm_trace::walk_nest(nest, &mut |pt| {
-            two_phase.push(ni, ni as u32, dpm_core::CompactIter::new(ni, pt))
-        });
+        nest.walk(|pt| two_phase.push(ni, ni as u32, dpm_core::CompactIter::new(ni, pt)));
     }
     let burst_2p = predict_on(
         &burst,
