@@ -8,7 +8,7 @@
 
 use dpm_apps::Scale;
 use dpm_bench::microbench::{bench, group};
-use dpm_bench::ExperimentConfig;
+use dpm_bench::{build_schedule, ExperimentConfig, ScheduleShape};
 use dpm_core::{apply_transform, Transform};
 use dpm_disksim::{DrpmConfig, FaultPlan, PowerPolicy, Simulator, TpmConfig, Trace};
 use dpm_layout::LayoutMap;
@@ -40,11 +40,29 @@ fn main() {
     let deps = dpm_ir::analyze(&p);
     let schedule = apply_transform(&p, &layout, &deps, Transform::Original);
     let gen = TraceGenerator::new(&p, &layout, config.trace);
+    let requests = gen.generate(&schedule).0.len() as u64;
     let r = bench("trace_generation/ast_small", || gen.generate(&schedule));
     println!(
-        "    ({:.1} ns per loop iteration)",
-        r.ns_per_element(p.total_iterations())
+        "    ({:.1} ns per loop iteration, {:.1} ns per request)",
+        r.ns_per_element(p.total_iterations()),
+        r.ns_per_element(requests)
     );
+    // Four processors: each phase walks every lane's disk footprint, and
+    // the lanes merge into one trace.
+    for (name, shape) in [
+        ("ast_small_4p_baseline", ScheduleShape::Plain),
+        ("ast_small_4p_clustered_m", ScheduleShape::ClusteredM),
+    ] {
+        let schedule = build_schedule(&p, &layout, &deps, shape, 4);
+        let requests = gen.generate(&schedule).0.len() as u64;
+        let r = bench(&format!("trace_generation/{name}"), || {
+            gen.generate(&schedule)
+        });
+        println!(
+            "    ({:.1} ns per request, {requests} requests)",
+            r.ns_per_element(requests)
+        );
+    }
 
     // Per sub-request, the unit the simulator's bookkeeping works in: one
     // application request splits into one piece per disk it touches. The

@@ -18,7 +18,7 @@ use dpm_bench::{
 };
 use dpm_disksim::{
     DirectiveConfig, DrpmConfig, Extents, MergedStream, MigrationConfig, PowerPolicy, RaidConfig,
-    RequestStream, SimReport, Simulator, TpmConfig, Trace,
+    RequestStream, SimReport, Simulator, TpmConfig, Trace, TraceStream,
 };
 use dpm_faults::FaultPlan;
 use dpm_layout::{LayoutMap, PlacementPlan, TieredVolume};
@@ -147,7 +147,7 @@ fn fault_plan_runs_identical() {
 
 /// Arrival jitter makes per-processor emission times non-monotone, which
 /// exercises the streamed generator's reorder heap; the merge must still
-/// reproduce the batch stable sort exactly.
+/// reproduce the batch path's order exactly.
 #[test]
 fn jittered_arrivals_identical() {
     let mut config = ExperimentConfig::default();
@@ -156,6 +156,58 @@ fn jittered_arrivals_identical() {
         assert_identical(&app, &Version::single_cpu(), 1, &config, 2);
         assert_identical(&app, &Version::multi_cpu(), 4, &config, 2);
     }
+}
+
+/// One simulator per feature of the event loop: every power policy
+/// (None, TPM, proactive TPM, DRPM, proactive DRPM, Directive), a chaos
+/// fault plan, RAID-0 and a migrating tiered array, four with timelines.
+/// The chaos run is at [`CHAOS`] and the tiered one at [`TIERED`].
+fn feature_simulators(
+    config: &ExperimentConfig,
+    program: &dpm_ir::Program,
+    layout: &LayoutMap,
+) -> Vec<Simulator> {
+    let tiers = dpm_bench::TierSweepConfig::default().tiers_for(layout.volume_bytes());
+    let demands = dpm_analyze::array_demands(program, layout);
+    let plan = PlacementPlan::round_robin(&tiers.topology(), &demands).unwrap();
+    let volume = TieredVolume::new(layout, tiers.topology(), &plan);
+    let sim = |policy| Simulator::new(config.disk, policy, config.striping);
+    let tpm = PowerPolicy::Tpm(TpmConfig::default());
+    vec![
+        sim(PowerPolicy::None).with_timelines(),
+        sim(tpm).with_timelines(),
+        sim(PowerPolicy::Tpm(TpmConfig::proactive())),
+        sim(PowerPolicy::Drpm(DrpmConfig::default())),
+        sim(PowerPolicy::Drpm(DrpmConfig::proactive())).with_timelines(),
+        sim(PowerPolicy::Directive(DirectiveConfig::for_params(
+            &config.disk,
+        ))),
+        sim(tpm).with_faults(FaultPlan::chaos(0xD15C_FA17, 0.05)),
+        sim(tpm).with_raid(RaidConfig::raid0(2, 8 << 10)),
+        sim(tpm)
+            .with_tiers(tiers, volume)
+            .with_migration(MigrationConfig {
+                window_requests: 64,
+                ..MigrationConfig::default()
+            })
+            .with_timelines(),
+    ]
+}
+
+/// Index of the chaos-plan run in [`feature_simulators`].
+const CHAOS: usize = 6;
+/// Index of the migrating tiered run in [`feature_simulators`].
+const TIERED: usize = 8;
+
+/// Asserts that the chaos plan fired and the tiered array migrated in a
+/// set of [`feature_simulators`] reports, so both paths are exercised.
+fn assert_features_fired(reports: &[SimReport]) {
+    let migrations = reports[TIERED].tiers.as_ref().map_or(0, |t| t.events.len());
+    assert!(migrations > 0, "the tiered run must migrate");
+    assert!(
+        reports[CHAOS].total_faults() > 0,
+        "the chaos plan must fire"
+    );
 }
 
 /// The driver feeds each simulator exactly what `run_stream` would: over
@@ -172,45 +224,51 @@ fn driver_matches_run_stream_per_simulator() {
     let deps = dpm_ir::analyze(&program);
     let schedule = build_schedule(&program, &layout, &deps, ScheduleShape::ClusteredS, 1);
     let gen = TraceGenerator::new(&program, &layout, config.trace).with_disk_params(config.disk);
-    let tiers = dpm_bench::TierSweepConfig::default().tiers_for(layout.volume_bytes());
-    let demands = dpm_analyze::array_demands(&program, &layout);
-    let plan = PlacementPlan::round_robin(&tiers.topology(), &demands).unwrap();
-    let volume = TieredVolume::new(&layout, tiers.topology(), &plan);
-    let sim = |policy| Simulator::new(config.disk, policy, config.striping);
-    let tpm = PowerPolicy::Tpm(TpmConfig::default());
-    let sims = [
-        sim(PowerPolicy::None).with_timelines(),
-        sim(tpm).with_timelines(),
-        sim(PowerPolicy::Drpm(DrpmConfig::default())),
-        sim(PowerPolicy::Drpm(DrpmConfig::proactive())).with_timelines(),
-        sim(PowerPolicy::Directive(DirectiveConfig::for_params(
-            &config.disk,
-        ))),
-        sim(tpm).with_faults(FaultPlan::chaos(0xD15C_FA17, 0.05)),
-        sim(tpm).with_raid(RaidConfig::raid0(2, 8 << 10)),
-        sim(tpm)
-            .with_tiers(tiers, volume)
-            .with_migration(MigrationConfig {
-                window_requests: 64,
-                ..MigrationConfig::default()
-            })
-            .with_timelines(),
-    ];
+    let sims = feature_simulators(&config, &program, &layout);
     let driven = simulate_all(&mut gen.stream(&schedule), &sims);
     assert_eq!(driven.len(), sims.len());
     assert!(
         driven[0].app_requests > 2048,
         "the trace must span several driver blocks"
     );
-    let migrations = driven[7].tiers.as_ref().map_or(0, |t| t.events.len());
-    assert!(migrations > 0, "the tiered run must migrate");
-    assert!(driven[5].total_faults() > 0, "the chaos plan must fire");
+    assert_features_fired(&driven);
     for (k, (sim, got)) in sims.iter().zip(driven).enumerate() {
         let want = sim.run_stream(&mut gen.stream(&schedule));
         assert_eq!(
             render(want),
             render(got),
             "simulator {k}: the driver diverged from run_stream"
+        );
+    }
+}
+
+/// `Simulator::run` feeds a trace's slice to one run; `run_stream` pulls
+/// the same requests one at a time through a `TraceStream`. Over a trace
+/// several 1024-request blocks long, their reports are equal field by
+/// field for every simulator feature.
+#[test]
+fn run_matches_run_stream_per_simulator() {
+    let config = ExperimentConfig::default();
+    let app = dpm_apps::by_name("AST", Scale::Tiny).unwrap();
+    let program = app.program();
+    let layout = LayoutMap::new(&program, config.striping);
+    let deps = dpm_ir::analyze(&program);
+    let schedule = build_schedule(&program, &layout, &deps, ScheduleShape::ClusteredM, 4);
+    let gen = TraceGenerator::new(&program, &layout, config.trace).with_disk_params(config.disk);
+    let (trace, _) = gen.generate(&schedule);
+    assert!(
+        trace.len() > 2048,
+        "the trace must span several 1024-request blocks"
+    );
+    let sims = feature_simulators(&config, &program, &layout);
+    let run: Vec<SimReport> = sims.iter().map(|sim| sim.run(&trace)).collect();
+    assert_features_fired(&run);
+    for (k, (sim, got)) in sims.iter().zip(run).enumerate() {
+        let want = sim.run_stream(&mut TraceStream::new(&trace));
+        assert_eq!(
+            render(want),
+            render(got),
+            "simulator {k}: run diverged from run_stream"
         );
     }
 }

@@ -7,7 +7,7 @@ use crate::disk::{DiskSim, SubRequest};
 use crate::params::{DiskParams, MigrationConfig, PowerPolicy, RaidConfig, TierConfig};
 use crate::request::{IoRequest, Trace};
 use crate::stats::{MigrationEvent, SimReport, TierReport, TierStats};
-use crate::stream::{RequestStream, TraceAccounting, TraceStream};
+use crate::stream::{RequestStream, TraceAccounting};
 use dpm_faults::FaultPlan;
 use dpm_layout::{MigrationMove, Striping, TieredVolume};
 use dpm_obs::XorShift64Star;
@@ -196,31 +196,37 @@ impl Simulator {
             .collect()
     }
 
-    /// Runs the simulation over a (time-sorted) trace: the thin adapter
-    /// over [`run_stream`](Self::run_stream), feeding the materialized
-    /// requests through the same event loop a live stream would use. The
-    /// two paths are bit-identical by construction (and proven so by
-    /// `tests/stream_equivalence.rs`).
+    /// Runs the simulation over a (time-sorted) trace: one [`SimRun`] fed
+    /// the whole slice, from [`start`](Self::start) to
+    /// [`SimRun::finish`], under the `simulate` span and counters
+    /// [`run_stream`](Self::run_stream) records. Both feed the same event
+    /// loop in the same order, so their reports are bit-identical
+    /// (`tests/stream_equivalence.rs`).
     ///
     /// # Panics
     ///
     /// Panics if the trace's arrivals are not non-decreasing.
     pub fn run(&self, trace: &Trace) -> SimReport {
-        self.run_stream(&mut TraceStream::new(trace))
+        self.simulate(|run| run.feed(trace.requests()))
     }
 
     /// Runs the simulation over any [`RequestStream`], pulling one request
-    /// at a time: the adapter that drives one [`SimRun`] from
-    /// [`start`](Self::start) to [`SimRun::finish`]. Resident memory is
-    /// O(disks) no matter how long the stream is.
+    /// at a time into one [`SimRun`]. Resident memory is O(disks) no
+    /// matter how long the stream is.
     ///
     /// # Panics
     ///
     /// Panics if the stream's arrivals are not non-decreasing.
     pub fn run_stream(&self, stream: &mut dyn RequestStream) -> SimReport {
+        self.simulate(|run| run.serve(std::iter::from_fn(|| stream.next_request())))
+    }
+
+    /// One run from [`start`](Self::start) to [`SimRun::finish`], with
+    /// `drive` feeding it, under the `simulate` span and its counters.
+    fn simulate(&self, drive: impl FnOnce(&mut SimRun<'_>)) -> SimReport {
         let mut sp = dpm_obs::span!("simulate");
         let mut run = self.start();
-        run.serve(std::iter::from_fn(|| stream.next_request()));
+        drive(&mut run);
         let report = run.finish();
         sp.add("run", report.obs_run);
         sp.add("app_requests", report.app_requests);

@@ -46,6 +46,8 @@ use dpm_disksim::{DiskParams, IoRequest, RequestKind, SequentialStreams, Service
 use dpm_ir::{AccessKind, NestId, Program};
 use dpm_layout::LayoutMap;
 use dpm_obs::XorShift64Star;
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use window::ReuseWindow;
 
 mod codec;
@@ -239,14 +241,19 @@ impl<'p> TraceGenerator<'p> {
         }
     }
 
-    /// Runs the program in `schedule`'s order, returning the merged trace
-    /// and generation statistics. Phase boundaries act as barriers: every
+    /// Runs the program in `schedule`'s order, returning the trace and
+    /// generation statistics. Phase boundaries act as barriers: every
     /// processor's clock advances to the slowest one's before the next
     /// phase starts, and pending requests are flushed.
+    ///
+    /// Each processor's requests form a lane, in arrival order, shrunk to
+    /// fit once the last phase ends. A single lane is the trace itself;
+    /// several are merged by `(arrival, processor)` into one vector of
+    /// exactly their total length. The result is the sequence
+    /// [`stream`](Self::stream) yields, bit for bit.
     pub fn generate(&self, schedule: &Schedule) -> (Trace, TraceStats) {
         let mut sp = dpm_obs::span!("trace_generate");
         let mut stats = TraceStats::default();
-        let mut all = Vec::new();
         let nprocs = schedule.num_procs();
         sp.add("procs", u64::from(nprocs));
         sp.add("phases", schedule.num_phases() as u64);
@@ -280,18 +287,31 @@ impl<'p> TraceGenerator<'p> {
                 st.clock_ms = max_clock;
             }
         }
-        for st in states {
-            all.extend(st.requests);
-        }
+        let lanes = states
+            .into_iter()
+            .map(|st| {
+                let mut lane = st.requests;
+                lane.shrink_to_fit();
+                // Eviction emits the pending request with the oldest
+                // `first_ms`, so without jitter a lane is already in
+                // arrival order and pays no sort.
+                if !lane.is_sorted_by_key(|r| r.arrival_ms.to_bits()) {
+                    lane.sort_by_key(|r| r.arrival_ms.to_bits());
+                }
+                lane
+            })
+            .collect();
         sp.add("requests", stats.requests);
         sp.add("cache_hits", stats.cache_hits);
         sp.add("element_accesses", stats.element_accesses);
-        (Trace::from_requests(all), stats)
+        (Trace::from_requests(merge_lanes(lanes)), stats)
     }
 
     /// Which disks each processor touches within one phase:
     /// `footprints[proc][disk]`. A single processor shares nothing, so its
-    /// footprint is left empty.
+    /// footprint is left empty. A processor's walk stops once it has
+    /// touched every disk: its footprint is then all-true whatever the rest
+    /// of its phase touches.
     fn phase_footprints(&self, schedule: &Schedule, phase: usize) -> Vec<Vec<bool>> {
         let nprocs = schedule.num_procs();
         if nprocs == 1 {
@@ -301,12 +321,20 @@ impl<'p> TraceGenerator<'p> {
         (0..nprocs)
             .map(|proc| {
                 let mut touched = vec![false; striping.num_disks()];
+                let mut untouched = touched.len();
                 let mut walk = schedule.iter(phase, proc);
-                while let Some((nest, iter)) = walk.next_point() {
+                'walk: while let Some((nest, iter)) = walk.next_point() {
                     for stmt in self.compiled.nest(nest) {
                         for r in &stmt.refs {
                             let offset = r.offset(self.program, self.layout, iter);
-                            touched[striping.disk_of_offset(offset)] = true;
+                            let disk = &mut touched[striping.disk_of_offset(offset)];
+                            if !*disk {
+                                *disk = true;
+                                untouched -= 1;
+                                if untouched == 0 {
+                                    break 'walk;
+                                }
+                            }
                         }
                     }
                 }
@@ -513,6 +541,38 @@ fn contention_factor(footprints: &[Vec<bool>], proc: usize) -> f64 {
         .max()
         .unwrap_or(1);
     worst as f64
+}
+
+/// Merges per-processor lanes, each in arrival order, into one sequence
+/// ordered by `(arrival, processor)`, a lane's equal arrivals keeping
+/// their emission order: the stable sort by arrival of the lanes'
+/// processor-major concatenation. A single lane is returned as it is;
+/// otherwise the output is allocated at exactly the lanes' total, and a
+/// heap of lane heads costs O(log lanes) per request. Arrivals are finite
+/// and non-negative, so their bit patterns order exactly like `total_cmp`.
+fn merge_lanes(mut lanes: Vec<Vec<IoRequest>>) -> Vec<IoRequest> {
+    if let [lane] = &mut lanes[..] {
+        return std::mem::take(lane);
+    }
+    let mut merged = Vec::with_capacity(lanes.iter().map(Vec::len).sum());
+    let mut next = vec![0; lanes.len()];
+    let mut heads: BinaryHeap<Reverse<(u64, usize)>> = lanes
+        .iter()
+        .enumerate()
+        .filter_map(|(proc, lane)| Some(Reverse((lane.first()?.arrival_ms.to_bits(), proc))))
+        .collect();
+    while let Some(mut head) = heads.peek_mut() {
+        let Reverse((_, proc)) = *head;
+        merged.push(lanes[proc][next[proc]]);
+        next[proc] += 1;
+        match lanes[proc].get(next[proc]) {
+            Some(r) => *head = Reverse((r.arrival_ms.to_bits(), proc)),
+            None => {
+                PeekMut::pop(head);
+            }
+        }
+    }
+    merged
 }
 
 /// Number of times consecutive requests in the trace land on different
@@ -794,6 +854,114 @@ mod tests {
         assert!(footprints[0][0] && footprints[1][64]);
         assert_eq!(contention_factor(&footprints, 0), 1.0);
         assert_eq!(contention_factor(&footprints, 1), 1.0);
+    }
+
+    /// The walk `phase_footprints` stops early: every reference of every
+    /// iteration of each processor's phase.
+    fn full_walk_footprints(
+        gen: &TraceGenerator<'_>,
+        schedule: &Schedule,
+        phase: usize,
+    ) -> Vec<Vec<bool>> {
+        if schedule.num_procs() == 1 {
+            return vec![Vec::new()];
+        }
+        let striping = gen.layout.striping();
+        (0..schedule.num_procs())
+            .map(|proc| {
+                let mut touched = vec![false; striping.num_disks()];
+                for it in schedule.iter(phase, proc) {
+                    let point = it.coords();
+                    for stmt in gen.compiled.nest(it.nest as NestId) {
+                        for r in &stmt.refs {
+                            let offset = r.offset(gen.program, gen.layout, &point);
+                            touched[striping.disk_of_offset(offset)] = true;
+                        }
+                    }
+                }
+                touched
+            })
+            .collect()
+    }
+
+    /// Stopping a processor's footprint walk once it has touched every
+    /// disk returns what the full walk returns, on seeded schedules over
+    /// 2 to 72 disks, with processors that saturate and processors that
+    /// never do.
+    #[test]
+    fn footprints_stop_at_saturation_and_match_the_full_walk() {
+        // Each array fills 72 stripes of 512 bytes.
+        let p = program(
+            "program t; array A[4608] : f64; array B[96][48] : f64;
+             nest L1 { for i = 0 .. 4607 { A[i] = A[i] + 1; } }
+             nest L2 { for i = 0 .. 95 { for j = 0 .. 47 { B[i][j] = A[48 * i + j]; } } }",
+        );
+        let mut points = Vec::new();
+        for (nest, n) in p.nests.iter().enumerate() {
+            n.walk(|pt| points.push(CompactIter::new(nest, pt)));
+        }
+        let (mut saturated, mut partial) = (0, 0);
+        for seed in 0..16u64 {
+            let mut rng = XorShift64Star::new(0xF007_0000 + seed);
+            let procs = rng.range_i64(2, 4) as u32;
+            let phases = rng.range_i64(1, 3) as usize;
+            let mut s = Schedule::new(&p, procs, phases);
+            let mut at = 0;
+            while at < points.len() {
+                let len = (rng.range_i64(1, 700) as usize).min(points.len() - at);
+                let phase = rng.range_i64(0, phases as i64 - 1) as usize;
+                let proc = rng.range_i64(0, i64::from(procs) - 1) as u32;
+                for it in &points[at..at + len] {
+                    s.push(phase, proc, *it);
+                }
+                at += len;
+            }
+            let disks = [2, 4, 8, 72][seed as usize % 4];
+            let layout = LayoutMap::new(&p, Striping::new(512, disks, 0));
+            let gen = TraceGenerator::new(&p, &layout, TraceGenOptions::default());
+            for phase in 0..phases {
+                let want = full_walk_footprints(&gen, &s, phase);
+                assert_eq!(
+                    gen.phase_footprints(&s, phase),
+                    want,
+                    "seed {seed}, phase {phase}, {disks} disks"
+                );
+                for f in &want {
+                    if f.iter().all(|&t| t) {
+                        saturated += 1;
+                    } else {
+                        partial += 1;
+                    }
+                }
+            }
+        }
+        assert!(
+            saturated >= 10 && partial >= 10,
+            "{saturated} saturated and {partial} partial footprints: \
+             both outcomes must be exercised"
+        );
+    }
+
+    /// With the footprint walk stopping at saturation, a subscript out of
+    /// bounds later in a processor's phase is reached only by generation,
+    /// and still panics naming the array.
+    #[test]
+    #[should_panic(expected = "out of bounds for extent 256 in array Edge")]
+    fn out_of_bounds_after_saturation_still_names_the_array() {
+        // 512-byte stripes hold 64 elements over 2 disks. Processor 1
+        // writes elements 129..=256: disk 0 first, disk 1 from element
+        // 192 on, and element 256 does not exist.
+        let p = program(
+            "program t; array Edge[256] : f64;
+             nest L { for i = 0 .. 255 { Edge[i + 1] = 1; } }",
+        );
+        let mut s = Schedule::new(&p, 2, 1);
+        s.push_ranks(0, 0, 0, 0..128);
+        s.push_ranks(0, 1, 0, 128..256);
+        let layout = LayoutMap::new(&p, Striping::new(512, 2, 0));
+        let gen = TraceGenerator::new(&p, &layout, TraceGenOptions::default());
+        assert_eq!(gen.phase_footprints(&s, 0), vec![vec![true; 2]; 2]);
+        gen.generate(&s);
     }
 
     #[test]

@@ -1,17 +1,17 @@
 //! Pull-based trace generation: the streaming counterpart of
 //! [`TraceGenerator::generate`](crate::TraceGenerator::generate).
 //!
-//! The batch path materializes every processor's requests and stable-sorts
-//! them by arrival; at `Scale::Paper` that is tens of megabytes of
-//! `IoRequest`s per trace. The streaming path produces the *same sequence*
-//! one request at a time:
+//! The batch path materializes each processor's requests as a lane and
+//! merges the lanes by `(arrival, processor)`; at `Scale::Paper` that is
+//! tens of megabytes of `IoRequest`s per trace. The streaming path
+//! produces the *same sequence* one request at a time:
 //!
 //! * each processor's lane walks its iterations of the current phase with
 //!   a [`ScheduleIter`] held by value ([`Schedule::iter`]), which unranks
 //!   the schedule's runs as it goes, so nothing is materialized;
 //! * [`GenStream`] drives all lanes in lockstep and merges their emissions
-//!   with a watermark rule that reproduces the batch path's stable sort
-//!   **bit for bit** — including under non-zero arrival jitter, where a
+//!   with a watermark rule that reproduces the batch path's order **bit
+//!   for bit** — including under non-zero arrival jitter, where a
 //!   processor's own emissions are not monotone.
 //!
 //! Resident memory is O(processors × (pending streams + reuse window +
@@ -19,11 +19,12 @@
 //!
 //! ## Why the merge is exact
 //!
-//! The batch path concatenates per-processor request vectors (processor
-//! order, emission order within a processor, phases in sequence) and
-//! stable-sorts by `arrival_ms` (`total_cmp`). That is precisely the
-//! sequence sorted by the key `(arrival, proc, seq)` where `seq` numbers a
-//! processor's emissions across the whole run. `GenStream` buffers each
+//! Both paths order requests by the key `(arrival, proc, seq)`, where
+//! `seq` numbers a processor's emissions across the whole run: the stable
+//! sort by `arrival_ms` (`total_cmp`) of the processor-major concatenation
+//! of every processor's emissions. The batch path stably sorts each lane
+//! by arrival (only under jitter is one out of order) and merges the lanes
+//! with ties to the lower processor. `GenStream` buffers each
 //! processor's emissions sorted on `(arrival, seq)` and releases a
 //! processor's head only when no *future* emission anywhere can precede it
 //! under that key. A processor's future arrivals are bounded below by its
@@ -372,7 +373,7 @@ mod tests {
     #[test]
     fn streamed_matches_batch_with_jitter() {
         // Jitter makes per-processor emissions non-monotone; the watermark
-        // buffer must still reproduce the batch path's stable sort.
+        // buffer must still reproduce the batch path's sorted lanes.
         let p = program(
             "program t; array A[256][128] : f64;
              nest L { for i = 0 .. 255 { for j = 0 .. 127 { A[i][j] = A[i][j] + 1 @ 750; } } }",
